@@ -30,23 +30,6 @@ advance of ``now``, *before* any callback at the new time executes, so a
 promoted (earlier-scheduled) callback always lands in its slot ahead of
 any same-cycle callback scheduled later.
 
-Setting ``REPRO_HEAP_SCHEDULER=1`` in the environment (read at
-``Engine()`` construction) selects the legacy ``heapq`` scheduler,
-retained for one release so CI can diff the two implementations'
-trace hashes; it will be removed once the calendar queue has soaked.
-
-Backends: the default ``event`` backend schedules every nonzero delay
-through the queue. The ``batched`` backend lets an actor *advance
-time inline* (:meth:`Engine.try_advance`) when no other event could
-possibly interleave — the earliest pending event lies strictly after
-the actor's target time — so a core executes straight-line instruction
-runs without a queue round-trip per step. Because the advance is
-refused whenever any event at or before the target exists, every
-observable interleaving (and therefore every trace, verdict and
-fingerprint) is identical between the two backends; only
-:attr:`Engine.events_popped` (fewer queue services) and
-:attr:`Engine.batch_advances` differ.
-
 Failure diagnosis: a drained queue with blocked actors is a classic
 deadlock; an optional :class:`Watchdog` additionally detects *livelock*
 (events keep firing but no actor retires a record for a whole cycle
@@ -59,7 +42,6 @@ with progress-table and log-buffer snapshots.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -71,10 +53,6 @@ from repro.common.stats import TimeBuckets
 #: system or cost model produces; longer delays take the overflow heap.
 _RING_SIZE = 1024
 _RING_MASK = _RING_SIZE - 1
-
-#: Environment variable selecting the legacy heapq scheduler (read at
-#: Engine construction, so tests can monkeypatch it per-engine).
-HEAP_SCHEDULER_ENV = "REPRO_HEAP_SCHEDULER"
 
 
 class Watchdog:
@@ -97,25 +75,23 @@ class Watchdog:
         return f"Watchdog(window={self.window})"
 
 
-#: Valid :class:`Engine` execution backends.
-BACKENDS = ("event", "batched")
-
-
 class Engine:
     """Calendar-queue event scheduler + actor lifecycle tracking."""
 
-    def __new__(cls, *args, **kwargs):
-        if cls is Engine and os.environ.get(HEAP_SCHEDULER_ENV) == "1":
-            cls = _HeapEngine
-        return object.__new__(cls)
-
-    def __init__(self, watchdog: Optional[Watchdog] = None, tracer=None,
-                 backend: str = "event"):
-        if backend not in BACKENDS:
-            raise SimulationError(
-                f"unknown engine backend {backend!r}; expected one of {BACKENDS}")
+    def __init__(self, watchdog: Optional[Watchdog] = None, tracer=None):
         self.now = 0
-        self._init_scheduler()
+        # Ring slots start as None and get a deque on first use; once
+        # created, a slot's deque is reused for the life of the engine
+        # (the ring wraps), so the steady-state event path never
+        # allocates an entry object — the callback itself is the entry.
+        self._ring: List[Optional[deque]] = [None] * _RING_SIZE
+        self._ring_count = 0
+        #: Lower bound on the earliest pending ring event's cycle; lets
+        #: empty-slot scans resume where the last one stopped instead of
+        #: rescanning from ``now``.
+        self._floor = 0
+        self._overflow: List = []
+        self._seq = 0
         self._actors: List["CoreActor"] = []
         #: Registered actors that have not finished yet. Maintained by
         #: :meth:`register` and :meth:`note_finish` so the watchdog's
@@ -124,18 +100,8 @@ class Engine:
         #: Actors that already called :meth:`note_finish` (double-finish
         #: guard — a second call would silently corrupt ``_unfinished``).
         self._finished_actors = set()
-        #: Execution backend; ``batched`` enables :meth:`try_advance`.
-        self.backend = backend
-        self.batched = backend == "batched"
         #: Total events popped off the time queue (perf-harness metric).
         self.events_popped = 0
-        #: Delays committed inline by the batched backend instead of
-        #: through the queue (perf-harness metric; 0 under ``event``).
-        self.batch_advances = 0
-        # Budget/watchdog state mirrored for try_advance while run() is
-        # active (the inline path must honour both exactly).
-        self._run_max_cycles: Optional[int] = None
-        self._run_window = 0
         #: Optional livelock detector; may also be attached after init.
         self.watchdog = watchdog
         #: Optional :class:`~repro.trace.TraceWriter`; actors emit
@@ -150,21 +116,6 @@ class Engine:
         #: (``last_retired`` / ``progress`` / ``log_occupancy`` /
         #: ``injected``) merged into a raised :class:`DeadlockError`.
         self.diagnostics_provider: Optional[Callable[[], dict]] = None
-
-    def _init_scheduler(self) -> None:
-        # Ring slots start as None and get a deque on first use; once
-        # created, a slot's deque is reused for the life of the engine
-        # (the ring wraps), so the steady-state event path never
-        # allocates an entry object — the callback itself is the entry.
-        self._ring: List[Optional[deque]] = [None] * _RING_SIZE
-        self._ring_count = 0
-        #: Lower bound on the earliest pending ring event's cycle; lets
-        #: empty-slot scans resume where the last one stopped instead of
-        #: rescanning from ``now`` (critical for ``try_advance``, which
-        #: probes ahead on every batched delay).
-        self._floor = 0
-        self._overflow: List = []
-        self._seq = 0
 
     @property
     def pending_events(self) -> int:
@@ -216,55 +167,6 @@ class Engine:
         """
         self.last_retire = self.now
 
-    def try_advance(self, cycles: int) -> bool:
-        """Batched backend: commit a delay inline when nothing interleaves.
-
-        Returns True (and advances :attr:`now`) only when no pending
-        event fires at or before the target time — strictly after, because
-        an equal-time event was scheduled earlier and must run first.
-        Refuses (falling back to the queue) when the advance would cross
-        ``max_cycles`` (so :class:`SimulationTimeout` fires with identical
-        pending-event state) or when the watchdog's livelock condition
-        already holds at the *current* time (matching the event backend's
-        post-callback check exactly).
-        """
-        now = self.now
-        target = now + cycles
-        overflow = self._overflow
-        if overflow and overflow[0][0] <= target:
-            return False
-        max_cycles = self._run_max_cycles
-        if max_cycles is not None and target > max_cycles:
-            return False
-        window = self._run_window
-        if (window and now - self.last_retire > window
-                and self._unfinished):
-            return False
-        if self._ring_count:
-            floor = self._floor
-            if floor <= target:
-                # Scan the slots covering [max(now, floor), target] (the
-                # ring invariant bounds this to one slot per cycle; the
-                # floor invariant clears everything before it). With
-                # pending ring events and target at/past the ring
-                # horizon, the full-window scan necessarily finds one
-                # and refuses. Either way the floor advances, so the
-                # next probe resumes where this one stopped.
-                ring = self._ring
-                last = min(target, now + _RING_MASK)
-                t = floor if floor > now else now
-                while t <= last:
-                    if ring[t & _RING_MASK]:
-                        self._floor = t
-                        return False
-                    t += 1
-                self._floor = last + 1
-        self.now = target
-        if overflow and overflow[0][0] < target + _RING_SIZE:
-            self._promote(target)
-        self.batch_advances += 1
-        return True
-
     def _promote(self, now: int) -> None:
         """Move overflow events that entered the ring horizon into slots."""
         overflow = self._overflow
@@ -302,8 +204,6 @@ class Engine:
         mask = _RING_MASK
         overflow = self._overflow
         popped = 0
-        self._run_max_cycles = max_cycles
-        self._run_window = window
         try:
             # Entry check: a resumed run whose budget is still exceeded
             # must re-trip on the already-committed tripping cycle before
@@ -349,24 +249,16 @@ class Engine:
                     self._ring_count -= 1
                     popped += 1
                     callback()
-                    # `self.now`, not `now`: a batched-backend callback
-                    # may have advanced time inline past this slot.
-                    if (window and self.now - self.last_retire > window
+                    if (window and now - self.last_retire > window
                             and self._unfinished):
                         raise self._diagnose(
                             f"livelock: no actor retired anything for "
-                            f"{self.now - self.last_retire} cycles (window="
+                            f"{now - self.last_retire} cycles (window="
                             f"{window}) while events kept firing",
                             kind="livelock",
                         )
-                    if self.now != now:
-                        # Inline advance moved time: this slot's index now
-                        # maps to a future cycle — resume from the top.
-                        break
         finally:
             self.events_popped += popped
-            self._run_max_cycles = None
-            self._run_window = 0
         blocked = [a for a in self._actors if not a.finished]
         if blocked:
             raise self._diagnose(
@@ -417,84 +309,6 @@ class Engine:
             injected=extra.get("injected"),
             trace_tail=trace_tail,
         )
-
-
-class _HeapEngine(Engine):
-    """Legacy global-heap scheduler (pre-calendar-queue), kept one
-    release behind ``REPRO_HEAP_SCHEDULER=1`` so CI can diff the two
-    implementations' schedules byte-for-byte. Do not use it for new
-    work; it exists purely as an equivalence oracle.
-    """
-
-    def _init_scheduler(self) -> None:
-        self._heap: List = []
-        self._seq = 0
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback))
-        self._seq += 1
-
-    def try_advance(self, cycles: int) -> bool:
-        target = self.now + cycles
-        heap = self._heap
-        if heap and heap[0][0] <= target:
-            return False
-        max_cycles = self._run_max_cycles
-        if max_cycles is not None and target > max_cycles:
-            return False
-        window = self._run_window
-        if (window and self.now - self.last_retire > window
-                and self._unfinished):
-            return False
-        self.now = target
-        self.batch_advances += 1
-        return True
-
-    def run(self, max_cycles: Optional[int] = None) -> int:
-        watchdog = self.watchdog
-        window = watchdog.window if watchdog is not None else 0
-        heap = self._heap
-        heappop = heapq.heappop
-        popped = 0
-        self._run_max_cycles = max_cycles
-        self._run_window = window
-        try:
-            while heap:
-                time = heap[0][0]
-                if max_cycles is not None and time > max_cycles:
-                    self.now = time
-                    raise SimulationTimeout(
-                        f"simulation exceeded max_cycles={max_cycles} "
-                        f"at cycle {time} with {len(heap)} pending events",
-                        cycle=time, pending_events=len(heap),
-                    )
-                entry = heappop(heap)
-                self.now = time
-                popped += 1
-                entry[2]()
-                if (window and self.now - self.last_retire > window
-                        and self._unfinished):
-                    raise self._diagnose(
-                        f"livelock: no actor retired anything for "
-                        f"{self.now - self.last_retire} cycles (window="
-                        f"{window}) while events kept firing",
-                        kind="livelock",
-                    )
-        finally:
-            self.events_popped += popped
-            self._run_max_cycles = None
-            self._run_window = 0
-        blocked = [a for a in self._actors if not a.finished]
-        if blocked:
-            raise self._diagnose(
-                "simulation deadlocked with blocked actors", kind="deadlock")
-        return self.now
 
 
 def find_cycle(graph: Dict[str, List[str]]) -> Optional[List[str]]:
@@ -654,7 +468,6 @@ class CoreActor:
         engine = self.engine
         step = self.step
         charge = self.buckets.charge
-        batched = engine.batched
         schedule = engine.schedule
         run = self._run
         while True:
@@ -664,11 +477,8 @@ class CoreActor:
                 cycles = action[1]
                 if cycles:
                     charge(action[2], cycles)
-                    if not (batched and engine.try_advance(cycles)):
-                        schedule(cycles, run)
-                        return
-                    # Batched backend: time committed inline — keep
-                    # stepping without a queue round-trip.
+                    schedule(cycles, run)
+                    return
                 # Zero-cost transition: keep stepping inline.
             elif kind == "wait":
                 _, condition, bucket, reason = action

@@ -29,27 +29,11 @@ def linearize(trace: Iterable[Record]) -> List[Record]:
     return records
 
 
-#: Events buffered per handle_block call in the batched oracle replay.
-REPLAY_BLOCK_EVENTS = 256
-
-
-def replay(trace: Iterable[Record], lifeguard_factory: Callable[[], Lifeguard],
-           backend: str = "event") -> Lifeguard:
-    """Replay a trace sequentially; returns the populated lifeguard.
-
-    ``backend="batched"`` groups consecutive delivered events (across
-    records — the oracle has no per-record timing to preserve) into
-    blocks handed to :meth:`Lifeguard.handle_block`, whose contract is
-    handler-by-handler equivalence. A ``load_versioned`` event forces
-    the pending block to flush first: its snapshot must observe every
-    earlier handler's metadata writes.
-    """
-    if backend not in ("event", "batched"):
-        raise ValueError(f"unknown replay backend {backend!r}")
+def replay(trace: Iterable[Record],
+           lifeguard_factory: Callable[[], Lifeguard]) -> Lifeguard:
+    """Replay a trace sequentially; returns the populated lifeguard."""
     lifeguard = lifeguard_factory()
     passthrough = InheritanceTracking(enabled=False)
-    block: List[tuple] = []
-    batched = backend == "batched"
     for record in linearize(trace):
         if record.kind == RecordKind.CA_MARK:
             continue  # CA marks carry no lifeguard semantics of their own
@@ -58,23 +42,11 @@ def replay(trace: Iterable[Record], lifeguard_factory: Callable[[], Lifeguard],
                 continue  # mirror the delivery hardware's event filtering
             if event[0] == "load_versioned":
                 # The oracle replays in true coherence order, so the
-                # "current" metadata *is* the version the load must see
-                # — including this block's still-pending writes.
-                if block:
-                    lifeguard.handle_block(block)
-                    block.clear()
+                # "current" metadata *is* the version the load must see.
                 rec = event[1]
                 snapshot = lifeguard.metadata.snapshot_range(rec.addr, rec.size)
                 event = ("load_versioned", rec, (rec.addr, rec.size, snapshot))
-            if batched:
-                block.append(event)
-                if len(block) >= REPLAY_BLOCK_EVENTS:
-                    lifeguard.handle_block(block)
-                    block.clear()
-            else:
-                lifeguard.handle(event)
-    if block:
-        lifeguard.handle_block(block)
+            lifeguard.handle(event)
     return lifeguard
 
 

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -20,6 +26,65 @@ class TestParser:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nope"])
+
+
+class TestIntegerOptions:
+    """A bad integer option is argparse's usage error (exit 2), never a
+    traceback from inside the simulator or a run that silently does
+    nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "swaptions", "--threads", "0"],
+        ["table1", "--threads", "0"],
+        ["swaptions", "--threads", "-1"],
+        ["diff", "--threads", "0"],
+        ["archive", "run.plog", "--threads", "0"],
+        ["figure7", "--max-threads", "0", "--benchmarks", "swaptions"],
+        ["figure6", "--thread-counts", "2", "0"],
+        ["diff", "--seeds", "2", "--jobs", "0"],
+        ["figure8", "--jobs", "-3"],
+        ["replay", "run.plog", "--jobs", "0"],
+        ["diff", "--seeds", "-2"],
+        ["diff", "--seeds", "0"],
+        ["diff", "--length", "0"],
+        ["archive", "run.plog", "--length", "-1"],
+        ["run", "swaptions", "--max-cycles", "-1"],
+        ["run", "swaptions", "--watchdog", "-5"],
+        ["diff", "--retries", "-1"],
+        ["run", "swaptions", "--trace-ring", "-1"],
+        ["run", "swaptions", "--threads", "two"],
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_boundary_values_accepted(self):
+        args = build_parser().parse_args(
+            ["run", "lu", "--threads", "1", "--max-cycles", "0",
+             "--watchdog", "0", "--trace-ring", "0"])
+        assert (args.threads, args.max_cycles, args.watchdog,
+                args.trace_ring) == (1, 0, 0, 0)
+        args = build_parser().parse_args(
+            ["diff", "--seeds", "1", "--jobs", "1", "--length", "1",
+             "--retries", "0"])
+        assert (args.seeds, args.jobs, args.length, args.retries) == \
+            (1, 1, 1, 0)
+
+
+def test_cold_start_does_not_import_numpy():
+    """``import repro.cli`` in a fresh interpreter must not pull numpy
+    in, even where it is installed: it would dominate CLI start-up."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert completed.stdout.strip() == "False"
 
 
 class TestCommands:

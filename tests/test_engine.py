@@ -555,159 +555,3 @@ class TestNotifyAllReentrancy:
         assert engine.run() == 10
         assert actor.buckets.get("x") == 10
         assert len(actor.trace) == 2
-
-
-class TestBatchedBackend:
-    """The batched backend must be observably identical to event mode."""
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown engine backend"):
-            Engine(backend="compiled")
-
-    def test_event_backend_never_batch_advances(self):
-        engine = Engine()
-        ScriptedActor(engine, "a", [("delay", 5, "x")] * 10).start()
-        engine.run()
-        assert engine.batch_advances == 0
-
-    def test_single_actor_advances_inline(self):
-        event, batched = Engine(), Engine(backend="batched")
-        results = {}
-        for name, engine in (("event", event), ("batched", batched)):
-            actor = ScriptedActor(engine, "a", [("delay", 5, "x")] * 20)
-            actor.start()
-            results[name] = (engine.run(), list(actor.trace),
-                             actor.buckets.get("x"))
-        assert results["event"] == results["batched"]
-        # The lone actor's 20 delays need only the initial start event.
-        assert batched.batch_advances > 0
-        assert batched.events_popped < event.events_popped
-
-    def test_interleaved_actors_identical_step_times(self):
-        def build(backend):
-            engine = Engine(backend=backend)
-            a = ScriptedActor(engine, "a",
-                              [("delay", 3, "x"), ("delay", 7, "x"),
-                               ("delay", 2, "x"), ("delay", 11, "x")])
-            b = ScriptedActor(engine, "b",
-                              [("delay", 5, "x"), ("delay", 5, "x"),
-                               ("delay", 1, "x"), ("delay", 6, "x")])
-            a.start()
-            b.start()
-            total = engine.run()
-            return total, a.trace, b.trace
-        assert build("event") == build("batched")
-
-    def test_equal_time_heap_event_blocks_inline_advance(self):
-        # Strict inequality: an equal-time event has a smaller seq and
-        # must run first, so try_advance must refuse.
-        engine = Engine(backend="batched")
-        order = []
-        engine.schedule(5, lambda: order.append("scheduled"))
-
-        class Stepper(CoreActor):
-            def __init__(self, e):
-                super().__init__(e, "s")
-                self.left = 1
-            def step(self):
-                if not self.left:
-                    order.append("actor-done")
-                    return ("done",)
-                self.left -= 1
-                return ("delay", 5, "x")
-
-        Stepper(engine).start()
-        engine.run()
-        assert order == ["scheduled", "actor-done"]
-
-    def test_timeout_semantics_identical(self):
-        def trip(backend):
-            engine = Engine(backend=backend)
-            class Forever(CoreActor):
-                def step(self):
-                    return ("delay", 10, "x")
-            Forever(engine, "f").start()
-            with pytest.raises(SimulationTimeout) as exc:
-                engine.run(max_cycles=100)
-            return (exc.value.cycle, exc.value.pending_events, engine.now,
-                    engine.pending_events)
-        assert trip("event") == trip("batched")
-
-    def test_timeout_resume_identical(self):
-        def resume(backend):
-            engine = Engine(backend=backend)
-            class Countdown(CoreActor):
-                def __init__(self, e):
-                    super().__init__(e, "c")
-                    self.left = 5
-                    self.steps = []
-                def step(self):
-                    if not self.left:
-                        return ("done",)
-                    self.left -= 1
-                    self.steps.append(self.engine.now)
-                    return ("delay", 10, "x")
-            actor = Countdown(engine)
-            actor.start()
-            with pytest.raises(SimulationTimeout):
-                engine.run(max_cycles=25)
-            total = engine.run()
-            return total, actor.steps, actor.buckets.get("x")
-        assert resume("event") == resume("batched")
-
-    def test_livelock_semantics_identical(self):
-        def livelock(backend):
-            engine = Engine(watchdog=Watchdog(window=100), backend=backend)
-            class Spinner(CoreActor):
-                def step(self):
-                    return ("delay", 10, "spin")
-            Spinner(engine, "s1").start()
-            with pytest.raises(DeadlockError) as exc:
-                engine.run(max_cycles=100_000)
-            return exc.value.kind, engine.now, str(exc.value)
-        assert livelock("event") == livelock("batched")
-
-    def test_watchdog_quiet_when_retiring_identical(self):
-        def run(backend):
-            engine = Engine(watchdog=Watchdog(window=50), backend=backend)
-            class Worker(CoreActor):
-                def __init__(self, e):
-                    super().__init__(e, "w")
-                    self.left = 20
-                def step(self):
-                    if not self.left:
-                        return ("done",)
-                    self.left -= 1
-                    self.engine.note_retire()
-                    return ("delay", 40, "useful")
-            Worker(engine).start()
-            return engine.run()
-        assert run("event") == run("batched") == 800
-
-    def test_condition_wakes_identical(self):
-        def run(backend):
-            engine = Engine(backend=backend)
-            condition = Condition("c")
-            waiter = ScriptedActor(engine, "w",
-                                   [("wait", condition, "blocked", "t"),
-                                    ("delay", 4, "x")])
-            waiter.start()
-
-            class Notifier(CoreActor):
-                def __init__(self, e):
-                    super().__init__(e, "n")
-                    self.fired = False
-                def step(self):
-                    if self.fired:
-                        return ("done",)
-                    self.fired = True
-                    return ("delay", 10, "y")
-                def on_finish(self):
-                    condition.notify_all(engine)
-
-            Notifier(engine).start()
-            total = engine.run()
-            shape = [(t, action[0]) for t, action in waiter.trace]
-            return (total, shape, waiter.buckets.get("blocked"),
-                    waiter.buckets.get("x"), waiter.finish_time)
-        assert run("event") == run("batched")

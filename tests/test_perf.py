@@ -16,14 +16,13 @@ from repro.perf import (
     run_archive,
     run_figure5,
     run_scenario,
-    suite_key,
     write_report,
 )
 
 
-def _figure5_only(suite, backend="event"):
+def _figure5_only(suite):
     """Single-scenario suite table used to keep end-to-end tests fast."""
-    return {"figure5": lambda: run_figure5(backend=backend)}
+    return {"figure5": run_figure5}
 
 
 class TestScenarios:
@@ -163,35 +162,6 @@ class TestGate:
         failures = gate(current, baseline)
         assert any("archive_bytes_per_kinst" in line
                    and "zero baseline" in line for line in failures)
-
-
-class TestSuiteKeys:
-    def test_event_backend_keeps_bare_name(self):
-        assert suite_key("quick") == "quick"
-        assert suite_key("full", "event") == "full"
-
-    def test_batched_backend_gets_suffix(self):
-        assert suite_key("quick", "batched") == "quick-batched"
-
-    def test_unknown_backend_rejected_by_suite_table(self):
-        with pytest.raises(ValueError, match="backend"):
-            perf._suite_scenarios("quick", "warp")
-
-    def test_build_report_keys_both_backends(self, monkeypatch):
-        monkeypatch.setattr(perf, "_suite_scenarios", _figure5_only)
-        report = build_report(suites=("quick",), repeats=1,
-                              backends=("event", "batched"))
-        assert set(report["suites"]) == {"quick", "quick-batched"}
-        event = report["suites"]["quick"]["scenarios"]["figure5"]
-        batched = report["suites"]["quick-batched"]["scenarios"]["figure5"]
-        # The backends agree on every simulated outcome; only the
-        # engine-mechanics counter (events_popped) may differ.
-        for metric in ("sim_cycles", "instructions", "shadow_chunks_peak",
-                       "shadow_chunk_allocs"):
-            assert (event["metrics"][metric]
-                    == batched["metrics"][metric]), metric
-        assert (batched["metrics"]["events_popped"]
-                <= event["metrics"]["events_popped"])
 
 
 class TestBaselineIO:

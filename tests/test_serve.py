@@ -33,14 +33,14 @@ class TestNormalizeRunConfig:
         assert config["scheme"] == "parallel"
         assert config["lifeguard"] == "taintcheck"
         assert config["seed"] == 1 and config["threads"] == 2
-        assert config["backend"] == "event"
+        assert "backend" not in config
 
     @pytest.mark.parametrize("payload,fragment", [
         ({}, "workload"),
         ({"workload": "nope"}, "unknown workload"),
         ({"workload": "lu", "scheme": "bogus"}, "unknown scheme"),
         ({"workload": "lu", "lifeguard": "bogus"}, "unknown lifeguard"),
-        ({"workload": "lu", "backend": "bogus"}, "unknown backend"),
+        ({"workload": "lu", "backend": "event"}, "unknown run config fields"),
         ({"workload": "lu", "scale": "huge"}, "unknown scale"),
         ({"workload": "lu", "seed": True}, "must be an integer"),
         ({"workload": "lu", "threads": 0}, "must be >= 1"),
