@@ -31,6 +31,12 @@ class IdempotentFilter:
         self.enabled = enabled
         self.track_rids = track_rids
         self._cache: Dict[Hashable, int] = {}
+        #: Delayed advertising, kept incrementally when ``track_rids``:
+        #: rid -> number of cached keys tagged with it, and the smallest
+        #: such rid (None when nothing is cached or RIDs are untracked).
+        #: The minimum is recomputed only when its last key leaves.
+        self._rid_counts: Dict[int, int] = {}
+        self.held_min: Optional[int] = None
         #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events);
         #: ``owner`` names the lifeguard core this filter belongs to.
         self.tracer = tracer
@@ -57,8 +63,15 @@ class IdempotentFilter:
         self.misses += 1
         if len(self._cache) >= self.capacity:
             oldest = next(iter(self._cache))
+            if self.track_rids:
+                self._release(self._cache[oldest])
             del self._cache[oldest]
         self._cache[key] = rid
+        if self.track_rids:
+            counts = self._rid_counts
+            counts[rid] = counts.get(rid, 0) + 1
+            if self.held_min is None or rid < self.held_min:
+                self.held_min = rid
         if self.tracer is not None:
             self.tracer.emit("accel", "if_miss", owner=self.owner, rid=rid)
         return False
@@ -68,6 +81,8 @@ class IdempotentFilter:
         if self._cache:
             self.invalidations += 1
             self._cache.clear()
+            self._rid_counts.clear()
+            self.held_min = None
 
     def invalidate_overlapping(self, addr: int, size: int) -> None:
         """Drop entries whose key ranges overlap a write.
@@ -86,15 +101,26 @@ class IdempotentFilter:
             and addr < key[0] + key[1]
         ]
         for key in victims:
+            if self.track_rids:
+                self._release(self._cache[key])
             del self._cache[key]
         if victims:
             self.invalidations += 1
 
+    def _release(self, rid: int) -> None:
+        """One cached key tagged ``rid`` left the cache."""
+        counts = self._rid_counts
+        left = counts[rid] - 1
+        if left:
+            counts[rid] = left
+            return
+        del counts[rid]
+        if rid == self.held_min:
+            self.held_min = min(counts) if counts else None
+
     def min_held_rid(self) -> Optional[int]:
         """Delayed advertising: smallest RID cached (None if untracked/empty)."""
-        if not self.track_rids or not self._cache:
-            return None
-        return min(self._cache.values())
+        return self.held_min
 
     @property
     def entry_count(self) -> int:

@@ -43,6 +43,21 @@ MAX_SOURCES = 2
 #: Maximum live-register OR-terms one register row can hold.
 MAX_REG_TERMS = 2
 
+_LOAD = RecordKind.LOAD
+_STORE = RecordKind.STORE
+_RMW = RecordKind.RMW
+_MOVRR = RecordKind.MOVRR
+_ALU = RecordKind.ALU
+_LOADI = RecordKind.LOADI
+_CRITICAL_USE = RecordKind.CRITICAL_USE
+_HL_KINDS = (RecordKind.HL_BEGIN, RecordKind.HL_END)
+_THREAD_EXIT = RecordKind.THREAD_EXIT
+
+#: What an absorbed record delivers: nothing. One shared instance —
+#: callers iterate the events :meth:`InheritanceTracking.process`
+#: returns and never mutate them.
+_NO_EVENTS: List[tuple] = []
+
 
 class _Row:
     """One IT table row; see the module docstring."""
@@ -53,6 +68,10 @@ class _Row:
         self.sources = sources  # tuple of (addr, size)
         self.regs = regs  # tuple of live register ids
         self.rid = rid  # oldest source RID (None if no address terms)
+
+
+#: The row of a register loaded with an immediate (rows are immutable).
+_IMMEDIATE = _Row((), (), None)
 
 
 def _merge_rids(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -75,6 +94,14 @@ class InheritanceTracking:
     def __init__(self, enabled: bool = True, tracer=None, owner: str = ""):
         self.enabled = enabled
         self._rows: Dict[Tuple[int, int], _Row] = {}
+        #: Delayed advertising, kept incrementally: tid -> {rid: number
+        #: of rows holding it}; the lifeguard core reads it directly. A row's RID is either its thread's
+        #: newest record (a load, processed in RID order) or a copy of
+        #: a RID some row already holds, and a copy is counted before
+        #: the row it replaces is released. So every key enters its
+        #: dict as the largest one, the dict stays in ascending order,
+        #: and its first key is the thread's smallest held RID.
+        self.held: Dict[int, Dict[int, int]] = {}
         #: Optional :class:`~repro.trace.TraceWriter` (``accel`` events);
         #: ``owner`` names the lifeguard core this table belongs to.
         self.tracer = tracer
@@ -88,143 +115,201 @@ class InheritanceTracking:
     # -- main entry -----------------------------------------------------------
 
     def process(self, record: Record) -> List[tuple]:
-        """Feed one record through IT; returns the delivered events."""
+        """Feed one record through IT; returns the delivered events.
+
+        Loads, moves, unary computation and immediates are absorbed
+        right here, in one hop; every other record takes
+        :meth:`_process_other`.
+        """
         if not self.enabled:
             return self._passthrough(record)
-        tracer = self.tracer
-        if tracer is not None:
-            absorbed_mark = self.absorbed_events
-            condensed_mark = self.delivered_condensed
-            out = self._process_enabled(record)
-            # One trace event per record that was absorbed into (or
-            # condensed out of) the table, stamped with its identity.
-            if self.absorbed_events > absorbed_mark:
-                tracer.emit("accel", "it_absorb", owner=self.owner,
-                            tid=record.tid, rid=record.rid)
-            if self.delivered_condensed > condensed_mark:
-                tracer.emit("accel", "it_condense", owner=self.owner,
-                            tid=record.tid, rid=record.rid)
-            return out
-        return self._process_enabled(record)
-
-    def _process_enabled(self, record: Record) -> List[tuple]:
         kind = record.kind
         tid = record.tid
-        out: List[tuple] = []
-
-        if kind == RecordKind.LOAD:
-            if record.consume_version is not None:
-                # TSO: versioned loads are always delivered, along with any
-                # pending state that inherits from the same address.
-                out.extend(self.flush_overlapping(record.addr, record.size))
-                out.extend(self._flush_referencing(tid, record.rd))
-                out.append(("load_versioned", record))
-                self._rows.pop((tid, record.rd), None)
-            else:
-                # Absorbing never touches the lifeguard's register value,
-                # so rows referencing rd stay valid (they refer to the
-                # stored metadata, which only handler execution changes).
-                self._rows[(tid, record.rd)] = _Row(
-                    ((record.addr, record.size),), (), record.rid)
-                self.absorbed_events += 1
-                # The *check* half of the load is still delivered: check
-                # lifeguards (MemCheck, AddrCheck) must inspect every
-                # access even when its propagation is deferred; pure
-                # propagation lifeguards (TaintCheck) decline the event
-                # and it costs nothing. The Idempotent Filter is the
-                # accelerator that absorbs these.
-                out.append(("load_check", record))
-
-        elif kind == RecordKind.MOVRR:
-            out.extend(self._absorb_copy(tid, record.rd, record.rs1))
-
-        elif kind == RecordKind.ALU:
-            out.extend(self._process_alu(record))
-
-        elif kind == RecordKind.LOADI:
-            self._rows[(tid, record.rd)] = _Row((), (), None)
+        if kind == _LOAD and record.consume_version is None:
+            # Absorbing never touches the lifeguard's register value,
+            # so rows referencing rd stay valid (they refer to the
+            # stored metadata, which only handler execution changes).
+            rid = record.rid
+            held = self.held.get(tid)
+            if held is None:
+                held = self.held[tid] = {}
+            held[rid] = held.get(rid, 0) + 1
+            key = (tid, record.rd)
+            rows = self._rows
+            old = rows.get(key)
+            rows[key] = _Row(((record.addr, record.size),), (), rid)
+            if old is not None and old.rid is not None:
+                self._release(tid, old.rid)
             self.absorbed_events += 1
+            if self.tracer is not None:
+                self.tracer.emit("accel", "it_absorb", owner=self.owner,
+                                 tid=tid, rid=rid)
+            # The *check* half of the load is still delivered: check
+            # lifeguards (MemCheck, AddrCheck) must inspect every
+            # access even when its propagation is deferred; pure
+            # propagation lifeguards (TaintCheck) decline the event
+            # and it costs nothing. The Idempotent Filter is the
+            # accelerator that absorbs these.
+            return [("load_check", record)]
+        if kind == _MOVRR or (kind == _ALU and record.rs2 is None):
+            # rd <- rs for moves and unary computation (always
+            # absorbable). rd == rs, a unary in-place update, keeps the
+            # existing row (or live metadata) semantically unchanged for
+            # OR-propagation. Rows are immutable, so a copy shares its
+            # source's row; a RID is counted before the row it replaces
+            # is released.
+            rd = record.rd
+            rs = record.rs1
+            if rd != rs:
+                rows = self._rows
+                key = (tid, rd)
+                old = rows.get(key)
+                src = rows.get((tid, rs))
+                if src is None:
+                    # rs is live: defer by referencing its current metadata.
+                    rows[key] = _Row((), (rs,), None)
+                else:
+                    if src.rid is not None:
+                        self.held[tid][src.rid] += 1
+                    rows[key] = src
+                if old is not None and old.rid is not None:
+                    self._release(tid, old.rid)
+            self.absorbed_events += 1
+        elif kind == _LOADI:
+            self._put((tid, record.rd), _IMMEDIATE)
+            self.absorbed_events += 1
+        elif kind == _ALU:
+            out = self._process_alu(record)
+            if out is not _NO_EVENTS:
+                return out  # delivered: nothing was absorbed
+        else:
+            return self._process_other(record)
+        if self.tracer is not None:
+            self.tracer.emit("accel", "it_absorb", owner=self.owner,
+                             tid=tid, rid=record.rid)
+        return _NO_EVENTS
 
-        elif kind == RecordKind.STORE:
-            out.extend(self._process_store(record))
+    def _process_other(self, record: Record) -> List[tuple]:
+        tracer = self.tracer
+        if tracer is None:
+            return self._deliver(record)
+        absorbed_mark = self.absorbed_events
+        condensed_mark = self.delivered_condensed
+        out = self._deliver(record)
+        # One trace event per record that was absorbed into (or
+        # condensed out of) the table, stamped with its identity.
+        if self.absorbed_events > absorbed_mark:
+            tracer.emit("accel", "it_absorb", owner=self.owner,
+                        tid=record.tid, rid=record.rid)
+        if self.delivered_condensed > condensed_mark:
+            tracer.emit("accel", "it_condense", owner=self.owner,
+                        tid=record.tid, rid=record.rid)
+        return out
 
-        elif kind == RecordKind.RMW:
-            out.extend(self.flush_overlapping(record.addr, record.size))
+    def _deliver(self, record: Record) -> List[tuple]:
+        """Records that (may) deliver events: everything but the
+        absorbed kinds :meth:`process` handles itself."""
+        kind = record.kind
+        tid = record.tid
+
+        if kind == _LOAD:
+            # TSO: versioned loads are always delivered, along with any
+            # pending state that inherits from the same address.
+            out = self.flush_overlapping(record.addr, record.size)
             out.extend(self._flush_referencing(tid, record.rd))
-            self._rows.pop((tid, record.rd), None)
+            out.append(("load_versioned", record))
+            self._pop((tid, record.rd))
+            return out
+        if kind == _STORE:
+            return self._process_store(record)
+        if kind == _RMW:
+            out = self.flush_overlapping(record.addr, record.size)
+            out.extend(self._flush_referencing(tid, record.rd))
+            self._pop((tid, record.rd))
             out.append(("rmw", record))
-
-        elif kind == RecordKind.CRITICAL_USE:
-            out.extend(self._flush_reg(tid, record.rs1))
+            return out
+        if kind == _CRITICAL_USE:
+            out = self._flush_row((tid, record.rs1))
             out.append(("critical", record))
-
-        elif kind in (RecordKind.HL_BEGIN, RecordKind.HL_END):
-            out.append(("hl", record))
-
-        elif kind == RecordKind.THREAD_EXIT:
-            out.extend(self.flush_thread(tid))
-
+            return out
+        if kind in _HL_KINDS:
+            return [("hl", record)]
+        if kind == _THREAD_EXIT:
+            return self.flush_thread(tid)
         # NOP and CA_MARK records deliver nothing through IT; CA-triggered
         # flushes are driven by the consumer pipeline via flush_all().
-        return out
+        return _NO_EVENTS
+
+    # -- row bookkeeping ----------------------------------------------------------
+
+    def _put(self, key: Tuple[int, int], row: _Row) -> None:
+        """Install ``row`` at ``key``, keeping the held RIDs exact."""
+        if row.rid is not None:
+            held = self.held.get(key[0])
+            if held is None:
+                held = self.held[key[0]] = {}
+            held[row.rid] = held.get(row.rid, 0) + 1
+        old = self._rows.get(key)
+        self._rows[key] = row
+        if old is not None and old.rid is not None:
+            self._release(key[0], old.rid)
+
+    def _pop(self, key: Tuple[int, int]) -> Optional[_Row]:
+        row = self._rows.pop(key, None)
+        if row is not None and row.rid is not None:
+            self._release(key[0], row.rid)
+        return row
+
+    def _release(self, tid: int, rid: int) -> None:
+        held = self.held[tid]
+        left = held[rid] - 1
+        if left:
+            held[rid] = left
+        else:
+            del held[rid]
 
     # -- absorption helpers ------------------------------------------------------
 
-    def _absorb_copy(self, tid: int, rd: int, rs: int) -> List[tuple]:
-        """rd <- rs for moves and unary computation (always absorbable)."""
-        if rd == rs:
-            # A unary in-place update keeps the existing row (or live
-            # metadata) semantically unchanged for OR-propagation.
-            self.absorbed_events += 1
-            return []
-        src = self._rows.get((tid, rs))
-        if src is not None:
-            self._rows[(tid, rd)] = _Row(src.sources, src.regs, src.rid)
-        else:
-            # rs is live: defer by referencing its current metadata.
-            self._rows[(tid, rd)] = _Row((), (rs,), None)
-        self.absorbed_events += 1
-        return []
-
-    def _term_of(self, tid: int, reg: int) -> _Row:
-        row = self._rows.get((tid, reg))
-        if row is not None:
-            return row
-        return _Row((), (reg,), None)
-
     def _process_alu(self, record: Record) -> List[tuple]:
+        """A binary computation (unary ones are absorbed by process)."""
         tid = record.tid
         rd = record.rd
-        out: List[tuple] = []
-        if record.rs2 is None:
-            out.extend(self._absorb_copy(tid, rd, record.rs1))
-            return out
-
-        term1 = self._term_of(tid, record.rs1)
-        term2 = self._term_of(tid, record.rs2)
-        sources = list(term1.sources)
-        for source in term2.sources:
-            if source not in sources:
-                sources.append(source)
-        regs = list(term1.regs)
-        for reg in term2.regs:
-            if reg not in regs:
-                regs.append(reg)
+        rs1 = record.rs1
+        rs2 = record.rs2
+        # Each operand is its row, or (no row) a live-register term.
+        row1 = self._rows.get((tid, rs1))
+        row2 = self._rows.get((tid, rs2))
+        if row1 is None:
+            sources, regs, rid1 = [], [rs1], None
+        else:
+            sources, regs, rid1 = list(row1.sources), list(row1.regs), row1.rid
+        if row2 is None:
+            if rs2 not in regs:
+                regs.append(rs2)
+            rid2 = None
+        else:
+            for source in row2.sources:
+                if source not in sources:
+                    sources.append(source)
+            for reg in row2.regs:
+                if reg not in regs:
+                    regs.append(reg)
+            rid2 = row2.rid
         if len(sources) <= MAX_SOURCES and len(regs) <= MAX_REG_TERMS:
             # A self-reference (rd in regs, the accumulator pattern) is
             # sound: it denotes rd's *stored* metadata, which stays
             # untouched until this row itself materializes.
-            self._rows[(tid, rd)] = _Row(
-                tuple(sources), tuple(regs), _merge_rids(term1.rid, term2.rid))
+            self._put((tid, rd), _Row(
+                tuple(sources), tuple(regs), _merge_rids(rid1, rid2)))
             self.absorbed_events += 1
-            return out
+            return _NO_EVENTS
         # Cannot track the merge: materialize the source rows so their
         # register metadata is live, then deliver the computation.
-        out.extend(self._flush_reg(tid, record.rs1))
+        out = self._flush_row((tid, record.rs1))
         if record.rs2 != record.rs1:
-            out.extend(self._flush_reg(tid, record.rs2))
+            out.extend(self._flush_row((tid, record.rs2)))
         out.extend(self._flush_referencing(tid, rd))
-        self._rows.pop((tid, rd), None)
+        self._pop((tid, rd))
         out.append(("alu", record))
         return out
 
@@ -278,22 +363,18 @@ class InheritanceTracking:
     # -- flushing --------------------------------------------------------------
 
     def _flush_row(self, key: Tuple[int, int]) -> List[tuple]:
-        row = self._rows.pop(key, None)
+        row = self._pop(key)
         if row is None:
             return []
         self.row_flushes += 1
         tid, reg = key
-        out: List[tuple] = []
         # Materializing this row *writes* reg's stored metadata, so rows
         # that reference reg's current value must materialize first (the
         # recursion terminates: each row is popped exactly once, and this
         # row is already out of the table).
-        out.extend(self._flush_referencing(tid, reg))
+        out = self._flush_referencing(tid, reg)
         out.append(("reg_inherit", tid, reg, row.sources, row.regs))
         return out
-
-    def _flush_reg(self, tid: int, reg: int) -> List[tuple]:
-        return self._flush_row((tid, reg))
 
     def _flush_referencing(self, tid: int, reg: int) -> List[tuple]:
         """Flush rows whose live-register terms reference ``reg``.
@@ -389,14 +470,13 @@ class InheritanceTracking:
         """The smallest RID still cached for ``tid`` (None when nothing is).
 
         The thread's advertised progress must stay below this value —
-        the delayed-advertising rule of Section 4.2.
+        the delayed-advertising rule of Section 4.2. Kept incrementally
+        (see ``held``), so this reads one key instead of scanning rows.
         """
-        held = [
-            row.rid
-            for key, row in self._rows.items()
-            if key[0] == tid and row.rid is not None
-        ]
-        return min(held) if held else None
+        held = self.held.get(tid)
+        if held:
+            return next(iter(held))
+        return None
 
     @property
     def row_count(self) -> int:

@@ -142,6 +142,19 @@ class RecordEncoder:
         #: Dependence arcs encoded.
         self.arcs = 0
 
+    def checkpoint(self) -> tuple:
+        """The encoder's whole mutable state, for :meth:`rollback`."""
+        return (self._last_addr, dict(self._last_recv), self.records,
+                self.bytes, self.arcs, self.arc_bytes)
+
+    def rollback(self, state: tuple) -> None:
+        """Undo every :meth:`encode` since ``state`` was checkpointed:
+        delta contexts and statistics alike. ``state`` stays valid, so
+        the same checkpoint can be rolled back to again."""
+        (self._last_addr, last_recv, self.records, self.bytes,
+         self.arcs, self.arc_bytes) = state
+        self._last_recv = dict(last_recv)
+
     def encode(self, record: Record) -> bytes:
         out = bytearray()
         kind = int(record.kind)

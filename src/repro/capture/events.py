@@ -45,13 +45,23 @@ class RecordKind(enum.IntEnum):
 
 #: Modeled compressed sizes (bytes) for log-occupancy accounting.
 _BASE_RECORD_BYTES = 1
-_ARC_BYTES = 4
+ARC_BYTES = 4
 _HIGHLEVEL_RECORD_BYTES = 16
-_VERSION_ANNOTATION_BYTES = 8
+VERSION_ANNOTATION_BYTES = 8
 
 _HIGHLEVEL_KINDS = frozenset(
     {RecordKind.HL_BEGIN, RecordKind.HL_END, RecordKind.CA_MARK}
 )
+
+#: Modeled base size of a record by kind, before arcs and annotations.
+KIND_BYTES = {kind: _HIGHLEVEL_RECORD_BYTES if kind in _HIGHLEVEL_KINDS
+              else _BASE_RECORD_BYTES for kind in RecordKind}
+
+#: The record kind of each micro-op kind: a table lookup, not an enum
+#: constructor call per retired instruction.
+RECORD_KIND_OF_OP = {op: RecordKind(int(op)) for op in OpKind}
+
+_new_record = object.__new__
 
 
 class Record:
@@ -113,7 +123,18 @@ class Record:
 
     @classmethod
     def from_op(cls, tid: int, rid: int, op: MicroOp) -> "Record":
-        record = cls(tid, rid, RecordKind(int(op.kind)))
+        """The record of a retiring micro-op.
+
+        This is order capture's once-per-instruction path, so it stamps
+        every slot directly instead of running :meth:`__init__` and then
+        overwriting the op fields, and takes the kind from a table
+        instead of an enum constructor call. It sets exactly the slots
+        :meth:`__init__` sets (a test pins that).
+        """
+        record = _new_record(cls)
+        record.tid = tid
+        record.rid = rid
+        record.kind = RECORD_KIND_OF_OP[op.kind]
         record.addr = op.addr
         record.size = op.size
         record.rd = op.rd
@@ -122,6 +143,13 @@ class Record:
         record.hl_kind = op.hl_kind
         record.ranges = op.ranges or ()
         record.critical_kind = op.critical_kind
+        record.arcs = None
+        record.reduced_arcs = None
+        record.ca_id = None
+        record.ca_issuer = False
+        record.consume_version = None
+        record.produce_versions = None
+        record.commit_time = None
         return record
 
     @property
@@ -155,15 +183,16 @@ class Record:
 
 
 def record_size_bytes(record: Record) -> int:
-    """Modeled compressed size of ``record`` in the log buffer."""
-    if record.kind in _HIGHLEVEL_KINDS:
-        size = _HIGHLEVEL_RECORD_BYTES
-    else:
-        size = _BASE_RECORD_BYTES
+    """Modeled compressed size of ``record`` in the log buffer.
+
+    :meth:`~repro.capture.log_buffer.LogBuffer.try_append` computes the
+    same sum inline from the same constants.
+    """
+    size = KIND_BYTES[record.kind]
     if record.arcs:
-        size += _ARC_BYTES * len(record.arcs)
+        size += ARC_BYTES * len(record.arcs)
     if record.consume_version is not None:
-        size += _VERSION_ANNOTATION_BYTES
+        size += VERSION_ANNOTATION_BYTES
     if record.produce_versions:
-        size += _VERSION_ANNOTATION_BYTES * len(record.produce_versions)
+        size += VERSION_ANNOTATION_BYTES * len(record.produce_versions)
     return size

@@ -13,7 +13,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.capture.events import Record, record_size_bytes
+from repro.capture.events import (
+    ARC_BYTES,
+    KIND_BYTES,
+    VERSION_ANNOTATION_BYTES,
+    Record,
+)
 from repro.common.config import LogBufferConfig
 from repro.cpu.engine import Condition, Engine
 
@@ -22,7 +27,7 @@ class LogBuffer:
     """Bounded FIFO of event records with byte-occupancy accounting."""
 
     __slots__ = ("engine", "capacity_bytes", "name", "faults", "records_lost",
-                 "_queue", "_occupied_bytes", "_encoder", "not_full",
+                 "entries", "_occupied_bytes", "_encoder", "not_full",
                  "not_empty", "closed", "total_records", "total_bytes",
                  "peak_bytes")
 
@@ -36,7 +41,9 @@ class LogBuffer:
         self.faults = faults
         #: Records silently lost to an injected ``log_append:drop`` fault.
         self.records_lost = 0
-        self._queue = deque()
+        #: ``(record, size)`` in log order. The consumer reads the head
+        #: in place (``entries[0][0]``); only :meth:`pop` removes it.
+        self.entries = deque()
         self._occupied_bytes = 0
         self._encoder = None
         if config.use_codec:
@@ -68,25 +75,32 @@ class LogBuffer:
                 return True
         if self._encoder is not None:
             # Encode tentatively: a failed append must not advance the
-            # encoder's delta context or its statistics.
-            saved = (self._encoder._last_addr, self._encoder.records,
-                     self._encoder.bytes)
+            # encoder's delta contexts or any of its statistics.
+            saved = self._encoder.checkpoint()
             size = len(self._encoder.encode(record))
             if self._occupied_bytes + size > self.capacity_bytes:
-                (self._encoder._last_addr, self._encoder.records,
-                 self._encoder.bytes) = saved
+                self._encoder.rollback(saved)
                 return False
         else:
-            size = record_size_bytes(record)
-        if self._occupied_bytes + size > self.capacity_bytes:
-            return False
-        self._queue.append((record, size))
+            # record_size_bytes(record), summed inline: one hop fewer
+            # per record.
+            size = KIND_BYTES[record.kind]
+            if record.arcs:
+                size += ARC_BYTES * len(record.arcs)
+            if record.consume_version is not None:
+                size += VERSION_ANNOTATION_BYTES
+            if record.produce_versions:
+                size += VERSION_ANNOTATION_BYTES * len(record.produce_versions)
+            if self._occupied_bytes + size > self.capacity_bytes:
+                return False
+        self.entries.append((record, size))
         self._occupied_bytes += size
         self.total_records += 1
         self.total_bytes += size
         if self._occupied_bytes > self.peak_bytes:
             self.peak_bytes = self._occupied_bytes
-        self.not_empty.notify_all(self.engine)
+        if self.not_empty.waiters:
+            self.not_empty.notify_all(self.engine)
         return True
 
     def close(self) -> None:
@@ -97,14 +111,15 @@ class LogBuffer:
     # -- consumer side -------------------------------------------------------
 
     def peek(self) -> Optional[Record]:
-        if not self._queue:
+        if not self.entries:
             return None
-        return self._queue[0][0]
+        return self.entries[0][0]
 
     def pop(self) -> Record:
-        record, size = self._queue.popleft()
+        record, size = self.entries.popleft()
         self._occupied_bytes -= size
-        self.not_full.notify_all(self.engine)
+        if self.not_full.waiters:
+            self.not_full.notify_all(self.engine)
         return record
 
     # -- introspection -------------------------------------------------------
@@ -114,9 +129,9 @@ class LogBuffer:
         return self._occupied_bytes
 
     def __len__(self):
-        return len(self._queue)
+        return len(self.entries)
 
     @property
     def drained(self) -> bool:
         """True once the producer closed the log and everything was consumed."""
-        return self.closed and not self._queue
+        return self.closed and not self.entries

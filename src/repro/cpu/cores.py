@@ -20,7 +20,7 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.accel import IdempotentFilter, InheritanceTracking, MetadataTLB
-from repro.capture.events import Record, RecordKind
+from repro.capture.events import Record
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.capture.tso import StoreBufferEntry
@@ -102,12 +102,14 @@ class TsoStoreBuffer:
 
     def push(self, entry: StoreBufferEntry) -> None:
         self.entries.append(entry)
-        self.not_empty.notify_all(self.engine)
+        if self.not_empty.waiters:
+            self.not_empty.notify_all(self.engine)
 
     def pop(self) -> StoreBufferEntry:
         entry = self.entries.popleft()
-        self.not_full.notify_all(self.engine)
-        if not self.entries:
+        if self.not_full.waiters:
+            self.not_full.notify_all(self.engine)
+        if not self.entries and self.empty_cond.waiters:
             self.empty_cond.notify_all(self.engine)
         return entry
 
@@ -127,6 +129,14 @@ class TsoStoreBuffer:
 
 
 _FETCH, _EXECUTE, _COMMIT, _FINISH = range(4)
+
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_RMW = OpKind.RMW
+_NOP = OpKind.NOP
+_HL_KINDS = (OpKind.HL_BEGIN, OpKind.HL_END)
+_HL_BEGIN = OpKind.HL_BEGIN
+_THREAD_EXIT = OpKind.THREAD_EXIT
 
 
 class AppCore(CoreActor):
@@ -156,18 +166,6 @@ class AppCore(CoreActor):
         self._phase = _FETCH
         self.instructions_retired = 0
 
-    # -- generator pump ----------------------------------------------------------
-
-    def _next_op(self):
-        try:
-            if self._started:
-                return self._gen.send(self._result)
-            self._started = True
-            return next(self._gen)
-        except StopIteration:
-            self._exiting = True
-            return thread_exit()
-
     # -- the state machine ----------------------------------------------------------
     #
     # The steady-state instruction loop — commit the previous record,
@@ -176,7 +174,9 @@ class AppCore(CoreActor):
     # delay. The phases are fused into one fall-through step and
     # ``_phase`` survives as the re-entry point after a blocking return
     # (COMMIT resumes at the flush after a log-full wake, FETCH at the
-    # fence/containment gates, EXECUTE at the TSO pre-stalls).
+    # fence/containment gates, EXECUTE at the TSO pre-stalls). The gates
+    # are only called while a CA fence or a store buffer exists, and the
+    # workload generator is pumped inline.
 
     def step(self):
         phase = self._phase
@@ -191,25 +191,36 @@ class AppCore(CoreActor):
             return self._finish_step()
 
         if phase == _FETCH:
-            fence_wait = self._ca_fence_gate()
-            if fence_wait is not None:
-                return fence_wait
+            if self._ca_fence is not None:
+                fence_wait = self._ca_fence_gate()
+                if fence_wait is not None:
+                    return fence_wait
             if self._containment_rid is not None:
                 table = self.hooks.progress_table
                 if table is not None and table.get(self.tid) < self._containment_rid:
                     return ("wait", table.condition(self.tid),
                             "wait_containment", "syscall containment")
                 self._containment_rid = None
-            self._op = self._next_op()
+            try:
+                if self._started:
+                    self._op = self._gen.send(self._result)
+                else:
+                    self._started = True
+                    self._op = next(self._gen)
+            except StopIteration:
+                self._exiting = True
+                self._op = thread_exit()
             self._result = None
             self._phase = _EXECUTE
 
-        stall = self._tso_pre_stall()
-        if stall is not None:
-            return stall
+        if self.store_buffer is not None:
+            stall = self._tso_pre_stall()
+            if stall is not None:
+                return stall
         latency = self._execute()
         self.instructions_retired += 1
-        self.engine.note_retire()
+        engine = self.engine
+        engine.last_retire = engine.now
         self._phase = _COMMIT
         return ("delay", latency, "execute")
 
@@ -251,8 +262,6 @@ class AppCore(CoreActor):
 
     def _tso_pre_stall(self):
         buffer = self.store_buffer
-        if buffer is None:
-            return None
         op = self._op
         if op.kind == OpKind.STORE and buffer.full:
             return ("wait", buffer.not_full, "execute", "store buffer full")
@@ -280,63 +289,66 @@ class AppCore(CoreActor):
     def _execute(self) -> int:
         op = self._op
         kind = op.kind
-        record = self.capture.begin_record(op)
+        capture = self.capture
+        record = capture.begin_record(op)
         latency = 1
 
-        if kind == OpKind.LOAD:
+        if kind == _LOAD:
             forwarded = (self.store_buffer.forward_value(op.addr, op.size)
                          if self.store_buffer is not None else None)
             if forwarded is not None:
                 self._result = forwarded
-                self.capture.enqueue(record)
             else:
                 result = self.memsys.access(self.core_id, op.addr, op.size,
                                             False, record.rid)
-                self.capture.attach_conflicts(record, result.conflicts)
+                if result.conflicts:
+                    capture.attach_conflicts(record, result.conflicts)
                 self._result = self.memory.read(op.addr, op.size)
                 latency = result.latency
-                self.capture.enqueue(record)
+            capture.enqueue(record)
 
-        elif kind == OpKind.STORE:
+        elif kind == _STORE:
             if self.store_buffer is not None:
-                self.capture.enqueue(record, finalized=False)
+                capture.enqueue(record, finalized=False)
                 self.store_buffer.push(
                     StoreBufferEntry(op.addr, op.size, op.value, record))
             else:
                 result = self.memsys.access(self.core_id, op.addr, op.size,
                                             True, record.rid)
-                self.capture.attach_conflicts(record, result.conflicts)
+                if result.conflicts:
+                    capture.attach_conflicts(record, result.conflicts)
                 self.memory.write(op.addr, op.size, op.value)
                 latency = result.latency
-                self.capture.enqueue(record)
+                capture.enqueue(record)
 
-        elif kind == OpKind.RMW:
+        elif kind == _RMW:
             result = self.memsys.access(self.core_id, op.addr, op.size,
                                         True, record.rid)
-            self.capture.attach_conflicts(record, result.conflicts)
+            if result.conflicts:
+                capture.attach_conflicts(record, result.conflicts)
             self._result = self.memory.read(op.addr, op.size)
             self.memory.write(op.addr, op.size, op.value)
             latency = result.latency + 2  # atomic read-modify-write penalty
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
-        elif kind == OpKind.NOP:
+        elif kind == _NOP:
             latency = op.value if op.value else 1
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
-        elif kind in (OpKind.HL_BEGIN, OpKind.HL_END):
+        elif kind in _HL_KINDS:
             latency = 1 + self._maybe_broadcast(op, record)
-            self.capture.enqueue(record)
-            if (kind == OpKind.HL_BEGIN
+            capture.enqueue(record)
+            if (kind == _HL_BEGIN
                     and op.hl_kind in self.hooks.containment_kinds):
                 self._containment_rid = record.rid
 
-        elif kind == OpKind.THREAD_EXIT:
+        elif kind == _THREAD_EXIT:
             if self.hooks.ca_hub is not None:
                 self.hooks.ca_hub.thread_exited(self.tid)
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
         else:  # MOVRR, ALU, LOADI, CRITICAL_USE
-            self.capture.enqueue(record)
+            capture.enqueue(record)
 
         return latency
 
@@ -345,7 +357,7 @@ class AppCore(CoreActor):
         if not self._will_broadcast(op):
             return 0
         record.ca_id = hub.broadcast(
-            self.tid, op.hl_kind, RecordKind(int(op.kind)), op.ranges)
+            self.tid, op.hl_kind, record.kind, op.ranges)
         record.ca_issuer = True
         if self.hooks.store_buffers:
             self._ca_fence = list(hub.state(record.ca_id).marks)
@@ -530,7 +542,8 @@ class TimeslicedAppCore(CoreActor):
 
         latency = self._execute(self._current)
         self.instructions_retired += 1
-        self.engine.note_retire()
+        engine = self.engine
+        engine.last_retire = engine.now
         self._slice_used += 1
         self._phase = _COMMIT
         return ("delay", latency, "execute")

@@ -163,7 +163,9 @@ class Engine:
 
         The watchdog considers the simulation live as long as *some*
         actor retires within its window; conditions waking and re-waiting
-        (spurious wake-ups, spin polls) deliberately do not count.
+        (spurious wake-ups, spin polls) deliberately do not count. The
+        built-in cores set :attr:`last_retire` directly, which is the
+        same thing without the call.
         """
         self.last_retire = self.now
 
@@ -353,20 +355,22 @@ class Condition:
     wait-for-graph builder uses them as the condition's outgoing edges.
     """
 
-    __slots__ = ("name", "_waiters", "owners")
+    __slots__ = ("name", "waiters", "owners")
 
     def __init__(self, name: str, owners: Optional[list] = None):
         self.name = name
-        self._waiters: List["CoreActor"] = []
+        #: Parked actors. Hot call sites test this list and skip the
+        #: :meth:`notify_all` call entirely when nobody waits.
+        self.waiters: List["CoreActor"] = []
         self.owners: List = list(owners or [])
 
     def add_waiter(self, actor: "CoreActor") -> None:
-        self._waiters.append(actor)
+        self.waiters.append(actor)
 
     def remove_waiter(self, actor: "CoreActor") -> None:
         """Drop one waiter if present (idempotent)."""
         try:
-            self._waiters.remove(actor)
+            self.waiters.remove(actor)
         except ValueError:
             pass
 
@@ -382,18 +386,18 @@ class Condition:
         arrives after the actor resumed and is dropped as stale by
         :meth:`CoreActor.wake`.
         """
-        if not self._waiters:
+        if not self.waiters:
             return
-        waiters, self._waiters = self._waiters, []
+        waiters, self.waiters = self.waiters, []
         for actor in waiters:
             engine.schedule(0, actor.wake)
 
     @property
     def waiter_count(self) -> int:
-        return len(self._waiters)
+        return len(self.waiters)
 
     def __repr__(self):
-        return f"Condition({self.name}, waiters={len(self._waiters)})"
+        return f"Condition({self.name}, waiters={len(self.waiters)})"
 
 
 class CoreActor:
@@ -405,7 +409,9 @@ class CoreActor:
         self.buckets = buckets if buckets is not None else TimeBuckets()
         self.finished = False
         self.finish_time: Optional[int] = None
-        self.wait_reason: Optional[str] = None
+        #: Why the actor is parked, as the step returned it; the
+        #: :attr:`wait_reason` text is only formatted when read.
+        self._wait_why: Optional[str] = None
         #: The condition this actor is currently parked on (None when
         #: runnable); the watchdog's wait-for graph reads this.
         self.wait_condition: Optional[Condition] = None
@@ -424,6 +430,15 @@ class CoreActor:
     def step(self):
         """Advance one state-machine step; see module docstring for returns."""
         raise NotImplementedError
+
+    @property
+    def wait_reason(self) -> Optional[str]:
+        """``"<why> (<condition>)"`` while parked, else None."""
+        why = self._wait_why
+        condition = self.wait_condition
+        if why is None or condition is None:
+            return why
+        return f"{why} ({condition.name})"
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -452,7 +467,7 @@ class CoreActor:
                 tracer.emit("engine", "wake", actor=self.name, waited=waited)
             self._wait_started = None
             self._wait_bucket = None
-            self.wait_reason = None
+            self._wait_why = None
         self.wait_condition = None
         self._run()
 
@@ -464,11 +479,14 @@ class CoreActor:
     def _run(self) -> None:
         # Hot trampoline: locals for everything touched per step. `step`
         # and `_run` come from the instance dict (pre-bound in __init__),
-        # so no bound-method allocation happens on this path.
+        # so no bound-method allocation happens on this path. A nonzero
+        # delay is charged and appended to its calendar slot right here:
+        # the body of TimeBuckets.charge and Engine.schedule, one hop
+        # fewer each per event.
         engine = self.engine
         step = self.step
-        charge = self.buckets.charge
-        schedule = engine.schedule
+        totals = self.buckets.buckets
+        ring = engine._ring
         run = self._run
         while True:
             action = step()
@@ -476,17 +494,31 @@ class CoreActor:
             if kind == "delay":
                 cycles = action[1]
                 if cycles:
-                    charge(action[2], cycles)
-                    schedule(cycles, run)
+                    bucket = action[2]
+                    if cycles < 0:
+                        raise ValueError(
+                            f"cannot charge negative cycles to {bucket!r}")
+                    totals[bucket] += cycles
+                    if cycles < _RING_SIZE:
+                        # cycles > 0 and the floor never exceeds `now`
+                        # while a callback runs, so the floor stays put.
+                        index = (engine.now + cycles) & _RING_MASK
+                        slot = ring[index]
+                        if slot is None:
+                            slot = ring[index] = deque()
+                        slot.append(run)
+                        engine._ring_count += 1
+                    else:
+                        engine.schedule(cycles, run)
                     return
                 # Zero-cost transition: keep stepping inline.
             elif kind == "wait":
                 _, condition, bucket, reason = action
                 self._wait_started = engine.now
                 self._wait_bucket = bucket
-                self.wait_reason = f"{reason} ({condition.name})"
+                self._wait_why = reason
                 self.wait_condition = condition
-                condition.add_waiter(self)
+                condition.waiters.append(self)
                 tracer = engine.tracer
                 if tracer is not None:
                     tracer.emit("engine", "stall", actor=self.name,

@@ -42,6 +42,12 @@ from repro.lifeguards.base import Lifeguard, hl_phase_of
 
 _FETCH, _ORDER, _PROCESS, _FINAL = range(4)
 
+_CA_MARK = RecordKind.CA_MARK
+_NOP = RecordKind.NOP
+_HL_KINDS = (RecordKind.HL_BEGIN, RecordKind.HL_END)
+_MEMORY_KINDS = (RecordKind.LOAD, RecordKind.STORE, RecordKind.RMW)
+_WRITE_KINDS = (RecordKind.STORE, RecordKind.RMW)
+
 
 class LifeguardCore(CoreActor):
     """Consumes one event stream and runs one lifeguard thread."""
@@ -129,8 +135,10 @@ class LifeguardCore(CoreActor):
     def step(self):
         phase = self._phase
         if phase == _FETCH:
-            record = self.log.peek()
-            if record is None:
+            # The head is read in place; log.pop() removes it only once
+            # the order gates pass.
+            entries = self.log.entries
+            if not entries:
                 if self.log.closed:
                     self._phase = _FINAL
                     return self._final_step()
@@ -139,18 +147,24 @@ class LifeguardCore(CoreActor):
                     return ("delay", cost, "useful")
                 return ("wait", self.log.not_empty,
                         "wait_application", "log empty")
-            self._rec = record
+            record = self._rec = entries[0][0]
             phase = _ORDER
         elif phase >= _FINAL:
             return self._final_step()
+        else:
+            record = self._rec
 
         if phase == _ORDER:
-            blocked = self._order_gate(self._rec)
-            if blocked is not None:
-                self._phase = _ORDER
-                if blocked[0] == "wait" and self._stall_started is None:
-                    self._stall_started = self.engine.now
-                return blocked
+            # Only arcs, a consumed version or a ConflictAlert id can
+            # hold a record back; the gate is skipped for the rest.
+            if (record.arcs or record.consume_version is not None
+                    or record.ca_id is not None):
+                blocked = self._order_gate(record)
+                if blocked is not None:
+                    self._phase = _ORDER
+                    if blocked[0] == "wait" and self._stall_started is None:
+                        self._stall_started = self.engine.now
+                    return blocked
             if self._stall_started is not None:
                 self.stall_durations.append(
                     self.engine.now - self._stall_started)
@@ -159,7 +173,7 @@ class LifeguardCore(CoreActor):
         if self.faults is not None:
             fault = self.faults.fire(
                 "lifeguard", tid=self.tid, name=self.name,
-                context=f"{self.name} at t{self._rec.tid}#{self._rec.rid}")
+                context=f"{self.name} at t{record.tid}#{record.rid}")
             if fault is not None:
                 if fault.action == "kill":
                     # The core dies mid-stream: no drain, no final
@@ -169,23 +183,25 @@ class LifeguardCore(CoreActor):
                     return ("done",)
                 self._phase = _PROCESS
                 return ("delay", max(1, fault.param or 10_000), "useful")
-        record = self.log.pop()
-        if record is not self._rec:
+        if self.log.pop() is not record:
             raise SimulationError(f"{self.name}: log head changed underfoot")
         cycles = self._process_record(record)
         if record.ca_issuer and self.ca_hub is not None:
             self.ca_hub.mark_complete(record.ca_id)
         self._ca_arrived = False
         self._stall_flushed = False
-        self._processed[record.tid] = record.rid
+        tid = record.tid
+        rid = record.rid
+        self._processed[tid] = rid
         self.records_processed += 1
-        self.last_retired = (record.tid, record.rid)
-        self.engine.note_retire()
+        self.last_retired = (tid, rid)
+        engine = self.engine
+        engine.last_retire = engine.now
         if self.tracer is not None:
             self.tracer.emit("engine", "retire", actor=self.name,
-                             tid=record.tid, rid=record.rid,
-                             kind=record.kind)
-        cycles += self._publish(record.tid)
+                             tid=tid, rid=rid, kind=record.kind)
+        if self.progress_table is not None:
+            cycles += self._publish(tid, rid)
         self._phase = _FETCH
         return ("delay", max(cycles, 1), "useful")
 
@@ -291,20 +307,21 @@ class LifeguardCore(CoreActor):
                                      rid=record.rid, version=version_id,
                                      addr=addr, size=length)
 
-        if record.kind == RecordKind.CA_MARK:
+        kind = record.kind
+        if kind == _CA_MARK:
             return cost + 1
 
-        if record.kind == RecordKind.NOP:
+        if kind == _NOP:
             return cost
 
-        if (record.critical_kind == "allocator" and record.is_memory
+        if (record.critical_kind == "allocator" and kind in _MEMORY_KINDS
                 and not self.lifeguard.monitors_allocator_internals):
             # Wrapper-library bookkeeping accesses are unmonitored for
             # heap checkers (Valgrind-style replacement malloc): they
             # bypass the accelerators and the handlers entirely.
             return cost
 
-        if record.kind in (RecordKind.HL_BEGIN, RecordKind.HL_END):
+        if kind in _HL_KINDS:
             # High-level events conflict with accelerator state *locally*
             # too (Section 4.1's MEMCHECK example): apply the lifeguard's
             # configured flushes before the event's handler runs.
@@ -325,11 +342,12 @@ class LifeguardCore(CoreActor):
                                      actor=self.name, tid=record.tid,
                                      rid=record.rid,
                                      version=record.consume_version[0])
-            key = lifeguard.if_key(event)
+            # A disabled filter never filters, so its key is not needed.
+            key = lifeguard.if_key(event) if iff.enabled else None
             if key is not None and iff.check(key, record.rid):
                 self.events_filtered += 1
                 continue
-            if (lifeguard.if_invalidate_on_write and record.is_write
+            if (lifeguard.if_invalidate_on_write and kind in _WRITE_KINDS
                     and record.addr is not None):
                 iff.invalidate_overlapping(record.addr, record.size)
             handler_cost, accesses = lifeguard.handle(event)
@@ -418,11 +436,9 @@ class LifeguardCore(CoreActor):
 
     # -- progress publication -----------------------------------------------------------------------
 
-    def _publish(self, tid: int) -> int:
-        """Publish (possibly delayed) progress for ``tid``; returns flush cost."""
-        if self.progress_table is None:
-            return 0
-        processed = self._processed.get(tid, 0)
+    def _publish(self, tid: int, processed: int) -> int:
+        """Publish (possibly delayed) progress for ``tid``, which has
+        processed up to ``processed``; returns flush cost."""
         if not self.delayed_advertising:
             self.progress_table.publish(tid, processed)
             return 0
@@ -448,16 +464,19 @@ class LifeguardCore(CoreActor):
         return cost
 
     def _advertise_target(self, tid: int, processed: int) -> int:
-        held = []
-        it_min = self.it.min_held_rid(tid)
-        if it_min is not None:
-            held.append(it_min)
-        if_min = self.iff.min_held_rid()
-        if if_min is not None:
-            held.append(if_min)
-        if not held:
-            return processed
-        return min(min(held) - 1, processed)
+        """``min(held RIDs) - 1``, clamped by ``processed``: both
+        accelerators keep their held minimum incrementally, so this
+        reads two values instead of scanning rows and entries."""
+        target = processed
+        held = self.it.held.get(tid)
+        if held:
+            it_min = next(iter(held))  # InheritanceTracking.min_held_rid
+            if it_min <= target:
+                target = it_min - 1
+        if_min = self.iff.held_min
+        if if_min is not None and if_min <= target:
+            target = if_min - 1
+        return target
 
     def _publish_accurate(self) -> None:
         if self.progress_table is None:

@@ -42,7 +42,12 @@ class ProgressTable:
 
     def publish(self, tid: int, rid: int) -> None:
         """Advertise progress; monotone (stale publishes are ignored)."""
-        if rid > self._values[tid]:
+        try:
+            current = self._values[tid]
+        except KeyError:
+            raise SimulationError(
+                f"publish references unknown thread {tid}") from None
+        if rid > current:
             if self.faults is not None:
                 fault = self.faults.fire(
                     "progress", tid=tid,
@@ -53,7 +58,9 @@ class ProgressTable:
             self.publishes += 1
             if self.tracer is not None:
                 self.tracer.emit("advert", "publish", tid=tid, rid=rid)
-            self._conditions[tid].notify_all(self.engine)
+            condition = self._conditions[tid]
+            if condition.waiters:
+                condition.notify_all(self.engine)
 
     def condition(self, tid: int) -> Condition:
         return self._conditions[tid]

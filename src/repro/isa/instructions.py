@@ -142,32 +142,53 @@ def _check_access(addr: int, size: int, line_bytes: int = 64) -> None:
         raise WorkloadError(f"access crosses a cache line: addr={addr:#x} size={size}")
 
 
+# The factories below run once per simulated instruction, so they test
+# the happy path inline and call the checkers above only to raise. An
+# aligned 1/2/4/8-byte access never crosses a 64-byte line, so a valid
+# size, a non-negative address and alignment are the whole inline test;
+# a failing op reaches the same checker, which raises the same error.
+
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_RMW = OpKind.RMW
+_MOVRR = OpKind.MOVRR
+_ALU = OpKind.ALU
+_LOADI = OpKind.LOADI
+
+
 def load(rd: int, addr: int, size: int = 4) -> MicroOp:
     """``rd <- [addr]``; the core sends the loaded value back to the generator."""
-    _check_reg(rd)
-    _check_access(addr, size)
-    return MicroOp(OpKind.LOAD, rd=rd, addr=addr, size=size)
+    if not 0 <= rd < NUM_REGISTERS:
+        _check_reg(rd)
+    if size not in _VALID_SIZES or addr < 0 or addr % size:
+        _check_access(addr, size)
+    return MicroOp(_LOAD, rd, None, None, addr, size)
 
 
 def store(addr: int, rs: int, value: int = 0, size: int = 4) -> MicroOp:
     """``[addr] <- rs`` (value carried alongside for the value store)."""
-    _check_reg(rs)
-    _check_access(addr, size)
-    return MicroOp(OpKind.STORE, rs1=rs, addr=addr, size=size, value=value)
+    if not 0 <= rs < NUM_REGISTERS:
+        _check_reg(rs)
+    if size not in _VALID_SIZES or addr < 0 or addr % size:
+        _check_access(addr, size)
+    return MicroOp(_STORE, None, rs, None, addr, size, value)
 
 
 def rmw(rd: int, addr: int, value: int, size: int = 4) -> MicroOp:
     """Atomic exchange: ``rd <- [addr]; [addr] <- value``."""
-    _check_reg(rd)
-    _check_access(addr, size)
-    return MicroOp(OpKind.RMW, rd=rd, addr=addr, size=size, value=value)
+    if not 0 <= rd < NUM_REGISTERS:
+        _check_reg(rd)
+    if size not in _VALID_SIZES or addr < 0 or addr % size:
+        _check_access(addr, size)
+    return MicroOp(_RMW, rd, None, None, addr, size, value)
 
 
 def movrr(rd: int, rs: int) -> MicroOp:
     """Register-to-register copy (pure data movement)."""
-    _check_reg(rd)
-    _check_reg(rs)
-    return MicroOp(OpKind.MOVRR, rd=rd, rs1=rs)
+    if not (0 <= rd < NUM_REGISTERS and 0 <= rs < NUM_REGISTERS):
+        _check_reg(rd)
+        _check_reg(rs)
+    return MicroOp(_MOVRR, rd, rs)
 
 
 def alu(rd: int, rs1: int, rs2: int = None) -> MicroOp:
@@ -176,17 +197,19 @@ def alu(rd: int, rs1: int, rs2: int = None) -> MicroOp:
     A unary ALU op (``rs2 is None``) propagates metadata like a move; a
     binary op merges the metadata of both sources.
     """
-    _check_reg(rd)
-    _check_reg(rs1)
-    if rs2 is not None:
+    if not (0 <= rd < NUM_REGISTERS and 0 <= rs1 < NUM_REGISTERS
+            and (rs2 is None or 0 <= rs2 < NUM_REGISTERS)):
+        _check_reg(rd)
+        _check_reg(rs1)
         _check_reg(rs2)
-    return MicroOp(OpKind.ALU, rd=rd, rs1=rs1, rs2=rs2)
+    return MicroOp(_ALU, rd, rs1, rs2)
 
 
 def loadi(rd: int) -> MicroOp:
     """Load immediate: ``rd <- constant`` (clears inherited metadata)."""
-    _check_reg(rd)
-    return MicroOp(OpKind.LOADI, rd=rd)
+    if not 0 <= rd < NUM_REGISTERS:
+        _check_reg(rd)
+    return MicroOp(_LOADI, rd)
 
 
 def nop() -> MicroOp:

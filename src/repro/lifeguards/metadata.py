@@ -398,8 +398,12 @@ class MetadataMap:
 
         Returns ``(sim_addr, sim_size, is_write)`` tuples sized 1-8 bytes.
         """
-        first = self.sim_addr(app_addr)
-        last = self.sim_addr(app_addr + size - 1)
+        # sim_addr() of the first and last byte, inline (a hop per
+        # timed metadata access saved).
+        base = self.base_addr
+        bits = self.bits_per_byte
+        first = base + app_addr * bits // 8
+        last = base + (app_addr + size - 1) * bits // 8
         span = last - first + 1
         accesses = []
         addr = first

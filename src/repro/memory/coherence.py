@@ -98,6 +98,17 @@ class CoherentMemorySystem:
         self._miss_latency = (config.l1_config.access_latency
                               + config.l2_config.access_latency)
         self._memory_latency = config.memory_latency
+        # The L1/L2 set dicts and set counts, for the hit branch of
+        # access(): a hit is the common case, and SetAssocCache.lookup
+        # is one hop it need not take. The set dicts live as long as
+        # the caches do.
+        self._l1_sets = [cache._sets for cache in self._l1]
+        self._l1_num_sets = self._l1[0]._num_sets if self._l1 else 1
+        self._l2_sets = self._l2._sets
+        self._l2_num_sets = self._l2._num_sets
+        #: The result of every L1 hit: latency only, no conflicts. One
+        #: shared instance — callers read it and never mutate it.
+        self._hit = AccessResult(self._l1_latency)
         self._evicted_tags = {}  # line -> (last_writer, readers)
         #: Optional TSO hook: called as f(write_core, line, reader_conflicts)
         #: and returns the set of reader cores whose WAR arcs should be
@@ -117,12 +128,42 @@ class CoherentMemorySystem:
         ``rid`` is the accessor's per-thread record id, stored into the
         line tags so later conflicting accesses can point their arcs at
         this instruction.
+
+        L1 read hits and M/E write hits are handled here, in one hop:
+        the same L1 and L2 LRU touches, directory-tag updates, hit
+        counter and inclusion check as :meth:`_read`/:meth:`_write`,
+        which handle everything that needs coherence traffic.
         """
-        if addr // self.line_bytes != (addr + size - 1) // self.line_bytes:
+        line_bytes = self.line_bytes
+        line = addr // line_bytes
+        if line != (addr + size - 1) // line_bytes:
             raise SimulationError(
                 f"access crosses a line: addr={addr:#x} size={size}"
             )
-        line = addr // self.line_bytes
+        l1_set = self._l1_sets[core].get(line % self._l1_num_sets)
+        if l1_set is not None:
+            state = l1_set.get(line)
+            if state is not None and (not is_write or state == _MODIFIED
+                                      or state == _EXCLUSIVE):
+                # LRU touch; a write hit leaves the line Modified.
+                del l1_set[line]
+                l1_set[line] = _MODIFIED if is_write else state
+                self.l1_hits[core] += 1
+                l2_set = self._l2_sets.get(line % self._l2_num_sets)
+                entry = l2_set.get(line) if l2_set is not None else None
+                if entry is None:
+                    raise SimulationError(
+                        "inclusion violated: L1 hit without L2 entry")
+                del l2_set[line]
+                l2_set[line] = entry
+                if is_write:
+                    entry.last_writer = (core, rid)
+                    entry.readers.clear()
+                    entry.owner = core
+                    entry.sharers = {core}
+                else:
+                    entry.readers[core] = rid
+                return self._hit
         if is_write:
             return self._write(core, line, rid)
         return self._read(core, line, rid)
@@ -175,16 +216,8 @@ class CoherentMemorySystem:
             self._evict_l1(core, *evicted)
 
     def _read(self, core: int, line: int, rid: int) -> AccessResult:
-        state = self._l1[core].lookup(line)
+        """An L1 read miss (hits never leave :meth:`access`)."""
         conflicts: List[Conflict] = []
-        if state is not None:
-            self.l1_hits[core] += 1
-            entry = self._l2.lookup(line)
-            if entry is None:
-                raise SimulationError("inclusion violated: L1 hit without L2 entry")
-            entry.readers[core] = rid
-            return AccessResult(self._l1_latency)
-
         self.l1_misses[core] += 1
         latency = self._miss_latency
         entry, extra = self._dir_fetch(line)
@@ -208,21 +241,10 @@ class CoherentMemorySystem:
         return AccessResult(latency, conflicts)
 
     def _write(self, core: int, line: int, rid: int) -> AccessResult:
-        state = self._l1[core].lookup(line)
-        if state == _MODIFIED or state == _EXCLUSIVE:
-            self.l1_hits[core] += 1
-            if state == _EXCLUSIVE:
-                self._l1[core].update(line, _MODIFIED)
-            entry = self._l2.lookup(line)
-            if entry is None:
-                raise SimulationError("inclusion violated: L1 hit without L2 entry")
-            entry.last_writer = (core, rid)
-            entry.readers.clear()
-            entry.owner = core
-            entry.sharers = {core}
-            return AccessResult(self._l1_latency)
-
-        # Shared upgrade or outright miss: coherence traffic happens.
+        """A Shared upgrade or an outright miss: coherence traffic."""
+        # The LRU touch a Shared line gets on lookup (the upgrade then
+        # reinstalls it Modified).
+        self._l1[core].lookup(line)
         self.l1_misses[core] += 1
         latency = self._miss_latency
         entry, extra = self._dir_fetch(line)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.common.errors import SimulationError
 
 _PAGE_BYTES = 4096
+_VALID_SIZES = frozenset({1, 2, 4, 8})
 
 
 class MainMemory:
@@ -26,28 +27,28 @@ class MainMemory:
     def __init__(self):
         self._pages = {}
 
-    def _page_for(self, addr: int, create: bool):
-        page_no = addr // _PAGE_BYTES
-        page = self._pages.get(page_no)
-        if page is None and create:
-            page = bytearray(_PAGE_BYTES)
-            self._pages[page_no] = page
-        return page
+    # read/write test the happy path inline (a valid size, a
+    # non-negative address, no page crossing) and call _check only for
+    # bad input, which raises the same errors.
 
     def read(self, addr: int, size: int) -> int:
         """Read ``size`` bytes at ``addr`` as a little-endian unsigned int."""
-        self._check(addr, size)
-        page = self._page_for(addr, create=False)
+        offset = addr % _PAGE_BYTES
+        if size not in _VALID_SIZES or addr < 0 or offset + size > _PAGE_BYTES:
+            self._check(addr, size)
+        page = self._pages.get(addr // _PAGE_BYTES)
         if page is None:
             return 0
-        offset = addr % _PAGE_BYTES
         return int.from_bytes(page[offset:offset + size], "little")
 
     def write(self, addr: int, size: int, value: int) -> None:
         """Write ``value`` (masked to ``size`` bytes) at ``addr``."""
-        self._check(addr, size)
-        page = self._page_for(addr, create=True)
         offset = addr % _PAGE_BYTES
+        if size not in _VALID_SIZES or addr < 0 or offset + size > _PAGE_BYTES:
+            self._check(addr, size)
+        page = self._pages.get(addr // _PAGE_BYTES)
+        if page is None:
+            page = self._pages[addr // _PAGE_BYTES] = bytearray(_PAGE_BYTES)
         page[offset:offset + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
             size, "little"
         )
@@ -68,7 +69,7 @@ class MainMemory:
     def _check(addr: int, size: int) -> None:
         if addr < 0:
             raise SimulationError(f"negative memory address {addr:#x}")
-        if size not in (1, 2, 4, 8):
+        if size not in _VALID_SIZES:
             raise SimulationError(f"unsupported access size {size}")
         if addr // _PAGE_BYTES != (addr + size - 1) // _PAGE_BYTES:
             raise SimulationError(

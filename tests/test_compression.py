@@ -117,6 +117,53 @@ class TestCompression:
         assert encoder.average_bytes_per_record == encoder.bytes
 
 
+class TestEncoderCheckpoint:
+    """``checkpoint``/``rollback`` undo tentative encodes completely, so
+    the bytes after a rollback are the bytes of an encoder that never
+    saw the rolled-back records."""
+
+    def arc_stream(self):
+        records = stream([load(R0, 0x1000 + 4 * i) for i in range(6)])
+        records[1].add_arc(1, 3)
+        records[2].add_arc(1, 4)
+        records[4].add_arc(1, 9)
+        records[5].add_arc(2, 1)
+        return records
+
+    @pytest.mark.parametrize("codec", ARC_CODECS)
+    def test_rollback_restores_delta_contexts_and_statistics(self, codec):
+        records = self.arc_stream()
+        reference = RecordEncoder(arc_codec=codec)
+        expected = [reference.encode(r) for r in records[:2] + records[4:]]
+
+        encoder = RecordEncoder(arc_codec=codec)
+        out = [encoder.encode(r) for r in records[:2]]
+        saved = encoder.checkpoint()
+        for record in records[2:4]:
+            encoder.encode(record)
+        encoder.rollback(saved)
+        out += [encoder.encode(r) for r in records[4:]]
+        assert out == expected
+        assert (encoder.records, encoder.bytes, encoder.arcs,
+                encoder.arc_bytes) == (reference.records, reference.bytes,
+                                       reference.arcs, reference.arc_bytes)
+
+    @pytest.mark.parametrize("codec", ARC_CODECS)
+    def test_checkpoint_survives_later_encodes_and_repeated_rollbacks(
+            self, codec):
+        records = self.arc_stream()
+        encoder = RecordEncoder(arc_codec=codec)
+        encoder.encode(records[0])
+        saved = encoder.checkpoint()
+        before = encoder.checkpoint()
+        for _ in range(2):
+            for record in records[1:]:
+                encoder.encode(record)
+            encoder.rollback(saved)
+            assert encoder.checkpoint() == before
+        assert saved == before
+
+
 class TestArcCodecs:
     def arc_stream(self):
         records = stream([load(R0, 0x1000 + 4 * i) for i in range(6)])

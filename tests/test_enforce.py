@@ -42,6 +42,13 @@ class TestProgressTable:
         with pytest.raises(SimulationError):
             table.satisfied(7, 1)
 
+    def test_publish_to_unknown_thread_raises_simulation_error(self):
+        table = ProgressTable(Engine(), [0])
+        with pytest.raises(SimulationError, match="unknown thread 7"):
+            table.publish(7, 1)
+        assert table.snapshot() == {0: 0}
+        assert table.publishes == 0
+
     def test_publish_notifies_waiters(self):
         engine = Engine()
         table = ProgressTable(engine, [0])

@@ -84,6 +84,36 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             load(R0, -4)
 
+    # The factories test the happy path inline and call the checkers
+    # only to raise; each case gives the expected error text (or None).
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: load(R0, 0x1000, 8), None),
+        (lambda: load(-1, 0x1000), "register index -1"),
+        (lambda: load(R0, 0x1000, 0), "unsupported access size 0"),
+        (lambda: load(R0, -8, 8), "negative address"),
+        (lambda: store(0x1001, R0, size=2), "unaligned access"),
+        (lambda: store(0x1000, NUM_REGISTERS), "register index"),
+        (lambda: rmw(R0, 0x1006, 1, 4), "unaligned access"),
+        (lambda: rmw(NUM_REGISTERS, 0x1000, 1), "register index"),
+        (lambda: movrr(R0, NUM_REGISTERS), "register index"),
+        (lambda: movrr(NUM_REGISTERS, -1),
+         f"register index {NUM_REGISTERS} "),
+        (lambda: alu(R0, R1), None),
+        (lambda: alu(R0, R1, NUM_REGISTERS - 1), None),
+        (lambda: alu(R0, R1, NUM_REGISTERS), "register index"),
+        (lambda: alu(R0, -1), "register index -1"),
+        (lambda: alu(NUM_REGISTERS, R1, -1),
+         f"register index {NUM_REGISTERS} "),
+        (lambda: loadi(NUM_REGISTERS - 1), None),
+        (lambda: loadi(NUM_REGISTERS), "register index"),
+    ])
+    def test_inline_checks_raise_the_checkers_errors(self, make, expected):
+        if expected is None:
+            assert isinstance(make(), MicroOp)
+        else:
+            with pytest.raises(WorkloadError, match=expected):
+                make()
+
 
 class TestSequentialRunner:
     def test_load_sees_prior_store(self):

@@ -119,3 +119,37 @@ class TestLogBuffer:
         log.pop()
         engine.run()
         assert fired
+
+
+class TestCodecAppend:
+    """With ``use_codec=True`` the log sizes records by encoding them;
+    a refused append must leave the encoder exactly as it was."""
+
+    def test_refused_appends_leave_encoder_statistics_untouched(self):
+        engine = Engine()
+        log = LogBuffer(engine, LogBufferConfig(size_bytes=12,
+                                                use_codec=True), "log")
+        outcomes = [log.try_append(make_record(rid, kind=RecordKind.MOVRR,
+                                               arcs=1))
+                    for rid in range(1, 6)]
+        assert outcomes == [True, False, False, False, False]
+        encoder = log._encoder
+        assert encoder.records == 1
+        assert encoder.arcs == 1
+        assert encoder.arc_bytes == 4
+        assert encoder.bytes == log.total_bytes == log.occupied_bytes
+
+    def test_refused_append_does_not_advance_delta_contexts(self):
+        engine = Engine()
+        log = LogBuffer(engine, LogBufferConfig(size_bytes=12,
+                                                use_codec=True), "log")
+        first = Record(0, 1, RecordKind.LOAD)
+        first.addr, first.size, first.rd = 0x100, 4, 0
+        assert log.try_append(first)
+        before = log._encoder.checkpoint()
+        far = Record(0, 2, RecordKind.LOAD)
+        far.addr, far.size, far.rd = 0x9000_0000, 4, 0
+        far.add_arc(1, 1)
+        far.add_arc(2, 1)
+        assert not log.try_append(far)
+        assert log._encoder.checkpoint() == before

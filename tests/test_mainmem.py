@@ -66,6 +66,29 @@ class TestErrors:
         with pytest.raises(SimulationError):
             MainMemory().read(4094, 4)
 
+    @pytest.mark.parametrize("addr, size, message", [
+        (-4, 4, "negative memory address"),
+        (0x100, 3, "unsupported access size 3"),
+        (0x100, 0, "unsupported access size 0"),
+        (4094, 4, "crosses a page"),
+        (4095, 8, "crosses a page"),
+    ])
+    def test_write_rejects_bad_access_without_allocating(self, addr, size,
+                                                          message):
+        memory = MainMemory()
+        with pytest.raises(SimulationError, match=message):
+            memory.write(addr, size, 1)
+        assert memory.resident_pages == 0
+
+    @pytest.mark.parametrize("addr, size", [(4088, 8), (4092, 4), (4095, 1),
+                                            (4096, 8)])
+    def test_accesses_ending_at_a_page_boundary_are_accepted(self, addr,
+                                                             size):
+        memory = MainMemory()
+        memory.write(addr, size, 0x5A)
+        assert memory.read(addr, size) == 0x5A
+        assert memory.resident_pages == 1
+
 
 class TestResidency:
     def test_pages_allocated_lazily(self):

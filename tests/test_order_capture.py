@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.capture.events import RecordKind
+from repro.capture.events import Record, RecordKind
 from repro.capture.log_buffer import LogBuffer
 from repro.capture.order_capture import OrderCapture
 from repro.common.config import CaptureMode, LogBufferConfig, SimulationConfig
 from repro.cpu.engine import Engine
-from repro.isa.instructions import HLEventKind, load, store
+from repro.isa.instructions import HLEventKind, hl_begin, load, store, thread_exit
 from repro.isa.registers import R0
 from repro.memory.coherence import Conflict
 
@@ -22,6 +22,22 @@ def make_capture(tid=0, mode=CaptureMode.PER_BLOCK, reduction=True,
     current_rids = {}
     capture = OrderCapture(tid, config, log, core_to_tid, current_rids)
     return capture, log, current_rids
+
+
+class TestRecordFromOp:
+    @pytest.mark.parametrize("op", [
+        load(R0, 0x100), store(0x140, R0, 7),
+        hl_begin(HLEventKind.MALLOC, ((0x2000, 64),)), thread_exit()])
+    def test_sets_every_slot_like_the_constructor(self, op):
+        stamped = Record.from_op(3, 9, op)
+        built = Record(3, 9, RecordKind(int(op.kind)))
+        for name in ("addr", "size", "rd", "rs1", "rs2", "hl_kind",
+                     "critical_kind"):
+            setattr(built, name, getattr(op, name))
+        built.ranges = op.ranges or ()
+        assert type(stamped.kind) is RecordKind
+        assert ({slot: getattr(stamped, slot) for slot in Record.__slots__}
+                == {slot: getattr(built, slot) for slot in Record.__slots__})
 
 
 class TestRidAssignment:
