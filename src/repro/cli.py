@@ -384,25 +384,28 @@ def _cmd_run(args) -> int:
     finally:
         if tracer is not None:
             tracer.close()
-    print(result.summary())
+    # With the trace on stdout the summary goes to stderr, so stdout
+    # stays pure JSONL.
+    out = sys.stderr if args.trace == "-" else sys.stdout
+    print(result.summary(), file=out)
     breakdown = result.lifeguard_breakdown()
     if breakdown:
         rows = [(bucket, f"{100 * share:.1f}%")
                 for bucket, share in sorted(breakdown.items())]
-        print(format_table(["lifeguard time", "share"], rows))
+        print(format_table(["lifeguard time", "share"], rows), file=out)
     if result.violations:
-        print("\nviolations:")
+        print("\nviolations:", file=out)
         for violation in result.violations:
             print(f"  [{violation.kind}] t{violation.tid}#{violation.rid} "
-                  f"{violation.detail}")
+                  f"{violation.detail}", file=out)
     interesting = ("arcs_recorded", "arcs_reduced", "ca_broadcasts",
                    "events_delivered", "events_filtered", "it_absorbed",
                    "dependence_stalls", "ca_stalls")
     rows = [(key, result.stats[key]) for key in interesting
             if key in result.stats]
     if rows:
-        print()
-        print(format_table(["stat", "value"], rows))
+        print(file=out)
+        print(format_table(["stat", "value"], rows), file=out)
     return 0
 
 
@@ -482,9 +485,11 @@ def _cmd_diff(args) -> int:
                       handle, indent=2, sort_keys=True)
             handle.write("\n")
     bad = [report for report in reports if not report.ok]
+    out = sys.stderr if args.trace == "-" else sys.stdout
     for report in bad:
-        print(report.summary())
-    print(f"differential sweep: {len(reports)} cells, {len(bad)} failed")
+        print(report.summary(), file=out)
+    print(f"differential sweep: {len(reports)} cells, {len(bad)} failed",
+          file=out)
     return 1 if bad else 0
 
 

@@ -34,7 +34,7 @@ import json
 import os
 from typing import List, Optional, Tuple
 
-from repro.trace.writer import validate_event
+from repro.trace.writer import _decode_lines, validate_event
 
 #: ``poll`` reads at most this many bytes per call, so one poll of a
 #: huge backlog cannot stall an event loop for unbounded time.
@@ -73,25 +73,27 @@ class TraceTail:
         chunk = self._handle.read(MAX_POLL_BYTES)
         if not chunk:
             return []
-        self._pending += chunk
-        *complete, self._pending = self._pending.split(b"\n")
-        out: List[Tuple[str, dict]] = []
-        for raw in complete:
-            self._offset += len(raw) + 1
-            text = raw.decode("utf-8").strip()
-            if not text:
-                continue
+        buffer = self._pending + chunk
+        *complete, self._pending = buffer.split(b"\n")
+        start = self._offset
+        self._offset += len(buffer) - len(self._pending)
+        texts = [raw.decode("utf-8").strip() for raw in complete]
+        payloads, bad = _decode_lines(texts)
+        self.events_seen += len(payloads)
+        if bad < len(texts):
+            # The bad line's error comes from json.loads/validate_event.
+            offset = start + sum(len(raw) + 1 for raw in complete[:bad])
             try:
-                payload = json.loads(text)
+                payload = json.loads(texts[bad])
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{self.path}: corrupt complete trace line at byte "
-                    f"offset {self._offset - len(raw) - 1}: {exc}") from exc
+                    f"offset {offset}: {exc}") from exc
             validate_event(payload)
-            self.events_seen += 1
-            if self.categories is None or payload["cat"] in self.categories:
-                out.append((text, payload))
-        return out
+        categories = self.categories
+        return [(text, payload) for text, payload
+                in zip([text for text in texts if text], payloads)
+                if categories is None or payload["cat"] in categories]
 
     def close(self) -> None:
         """Release the underlying file handle (idempotent)."""

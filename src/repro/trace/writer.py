@@ -40,7 +40,9 @@ import hashlib
 import json
 import warnings
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from itertools import islice
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -116,10 +118,10 @@ class TraceWriter:
     """
 
     __slots__ = ("categories", "events", "_engine", "_ring", "_stream",
-                 "_owns_stream", "emitted", "_pending", "_flush_every")
+                 "_owns_stream", "emitted")
 
     def __init__(self, *, stream=None, categories: Optional[Iterable[str]] = None,
-                 ring: int = 0, keep: bool = False, flush_every: int = 1):
+                 ring: int = 0, keep: bool = False):
         if categories is not None:
             categories = frozenset(categories)
             unknown = sorted(categories - _CATEGORY_SET)
@@ -130,8 +132,6 @@ class TraceWriter:
         self.categories = categories
         if ring < 0:
             raise ConfigurationError("trace ring size must be >= 0")
-        if flush_every < 1:
-            raise ConfigurationError("trace flush_every must be >= 1")
         self._ring = deque(maxlen=ring) if ring else None
         self._stream = stream
         self._owns_stream = False
@@ -139,16 +139,10 @@ class TraceWriter:
         self._engine = None
         #: Total events recorded (post-filter), for tests and stats.
         self.emitted = 0
-        #: Deferred stream rows: payloads recorded but not yet encoded.
-        #: Serialization is batched at flush points; ``flush_every=1``
-        #: (the default) keeps the historical one-line-per-emit flush
-        #: so ``tail -f`` readers never fall behind the simulation.
-        self._pending: List[dict] = []
-        self._flush_every = flush_every
 
     @classmethod
     def to_path(cls, path: str, *, categories=None, ring: int = 0,
-                keep: bool = False, flush_every: int = 1) -> "TraceWriter":
+                keep: bool = False) -> "TraceWriter":
         """Open ``path`` for writing and stream events into it.
 
         The constructor runs (and validates its arguments) *before* the
@@ -158,7 +152,7 @@ class TraceWriter:
         written on one machine and served from another is byte-identical.
         """
         writer = cls(stream=None, categories=categories, ring=ring,
-                     keep=keep, flush_every=flush_every)
+                     keep=keep)
         writer._stream = open(path, "w", encoding="utf-8")
         writer._owns_stream = True
         return writer
@@ -180,10 +174,11 @@ class TraceWriter:
         """Record one event (dropped silently if ``cat`` is filtered).
 
         Zero-allocation contract: the kwargs dict that the call itself
-        creates *is* the stored payload — no second dict is built, no
-        per-event encoder is constructed, and in deferred stream mode
-        (``flush_every > 1``) no JSON is produced here at all. Field
-        order in the payload is irrelevant: every encoder downstream
+        creates *is* the stored payload — no second dict is built and no
+        per-event encoder is constructed. In stream mode the event is
+        encoded once, written as one line and flushed, so a reader
+        following the file never sees a torn event. Field order in the
+        payload is irrelevant: every encoder downstream
         (:func:`encode_event`, :func:`trace_hash`) sorts keys.
         """
         if self.categories is not None and cat not in self.categories:
@@ -206,37 +201,17 @@ class TraceWriter:
             self.events.append(payload)
         if self._ring is not None:
             self._ring.append(payload)
-        if self._stream is not None:
-            pending = self._pending
-            pending.append(payload)
-            if len(pending) >= self._flush_every:
-                self.flush()
-
-    def flush(self) -> None:
-        """Batch-encode and write any deferred stream rows.
-
-        Serialization cost is paid here, off the per-event hot path.
-        The concatenated output is byte-identical to the historical
-        one-``write``-per-event form; one OS flush covers the batch.
-        """
-        pending = self._pending
-        if pending:
-            stream = self._stream
-            if stream is not None:
-                encode = encode_event
-                stream.write("".join(
-                    [encode(payload) + "\n" for payload in pending]))
-                stream.flush()  # safe for tail -f mid-simulation
-            pending.clear()
+        stream = self._stream
+        if stream is not None:
+            # A sanitized payload always encodes, so _MARKERS stays clean.
+            stream.write("".join(_c_encode(payload, 0)) + "\n")
+            stream.flush()  # safe for tail -f mid-simulation
 
     # -- retrieval ------------------------------------------------------------
 
     def snapshot(self) -> List[dict]:
         """The last-N events for crash reports (ring if bounded, else
-        the kept tail, else empty). Deferred stream rows are flushed
-        first so the on-disk trace is current when a crash report is
-        being assembled around this snapshot."""
-        self.flush()
+        the kept tail, else empty)."""
         if self._ring is not None:
             return list(self._ring)
         if self.events is not None:
@@ -244,9 +219,8 @@ class TraceWriter:
         return []
 
     def close(self) -> None:
-        """Flush deferred rows, then close the stream if this writer
-        opened it. A borrowed stream is flushed but left open."""
-        self.flush()
+        """Close the stream if this writer opened it. A borrowed stream
+        is left open (every line was flushed when it was written)."""
         if self._owns_stream and self._stream is not None:
             self._stream.close()
             self._stream = None
@@ -262,10 +236,36 @@ class TraceWriter:
 #: ``json.dumps(payload, separators=(",", ":"), sort_keys=True)``.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
+#: Circular-reference markers of :data:`_c_encode`. The C encoder empties
+#: them after every successful encode; an encode that raises half way
+#: leaves stale entries, which its callers clear.
+_MARKERS: dict = {}
+
+#: The C encoder ``_ENCODER.encode`` builds afresh on *every* call (in
+#: ``iterencode(_one_shot=True)``), built once with exactly the same
+#: arguments, so its output is ``_ENCODER``'s by construction.
+#: ``_c_encode(payload, 0)`` returns a list of chunks to ``"".join``.
+_c_encode = c_make_encoder(
+    _MARKERS, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
+
+#: ``trace_hash`` encodes and hashes this many events per sha256 update,
+#: few enough that one chunk's joined text (~70 kB) adds no peak memory.
+_HASH_CHUNK = 512
+
+#: The C scanner behind ``json.loads``: ``_scan_once(line, 0)`` decodes
+#: the value at the start of ``line`` as ``(value, end)``.
+_scan_once = json.JSONDecoder().scan_once
+
 
 def encode_event(payload: dict) -> str:
     """One event as a compact, key-sorted JSON line (no newline)."""
-    return _ENCODER.encode(payload)
+    try:
+        return "".join(_c_encode(payload, 0))
+    except BaseException:
+        _MARKERS.clear()
+        raise
 
 
 def validate_event(payload: dict) -> None:
@@ -311,10 +311,19 @@ def trace_hash(events: Iterable[dict]) -> str:
     benchmark comparison.
     """
     digest = hashlib.sha256()
-    for payload in events:
-        digest.update(encode_event(payload).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    events = iter(events)
+    join = "".join
+    try:
+        while True:
+            lines = [join(_c_encode(payload, 0))
+                     for payload in islice(events, _HASH_CHUNK)]
+            if not lines:
+                return digest.hexdigest()
+            lines.append("")  # the last line's newline
+            digest.update("\n".join(lines).encode("utf-8"))
+    except BaseException:
+        _MARKERS.clear()
+        raise
 
 
 def read_trace(path: str, *, tolerant_tail: bool = False) -> List[dict]:
@@ -330,32 +339,77 @@ def read_trace(path: str, *, tolerant_tail: bool = False) -> List[dict]:
     (``UserWarning``) instead of crashing the reader; a malformed line
     anywhere *before* the tail is corruption either way and still raises.
     """
-    events = []
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    last_lineno = len(lines)
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
+        lines = list(map(str.strip, handle.read().splitlines()))
+    events, bad = _decode_lines(lines)
+    if bad == len(lines):
+        return events
+    # The first bad line's error text comes from json.loads or
+    # validate_event, re-run on it alone.
+    lineno = bad + 1
+    final = tolerant_tail and lineno == len(lines)
+    try:
+        payload = json.loads(lines[bad])
+    except json.JSONDecodeError as exc:
+        if not final:
+            raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+        warnings.warn(
+            f"{path}:{lineno}: skipped torn final trace line "
+            f"(live stream mid-write?)", UserWarning, stacklevel=2)
+        return events
+    try:
+        validate_event(payload)
+    except ValueError:
+        if not final:
+            raise
+        warnings.warn(
+            f"{path}:{lineno}: skipped schema-invalid final trace "
+            f"line (live stream mid-write?)", UserWarning, stacklevel=2)
+    return events
+
+
+def _decode_lines(lines: List[str]) -> Tuple[List[dict], int]:
+    """Decode stripped JSONL lines up to the first one that is not an event.
+
+    Returns ``(events, bad)``: the events of the non-blank lines before
+    ``lines[bad]``, the first line on which ``json.loads`` or
+    :func:`validate_event` raises (``bad == len(lines)`` if none does).
+    Shared by :func:`read_trace` and :class:`repro.trace.TraceTail`,
+    which re-parse ``lines[bad]`` with those two to raise their errors.
+
+    Each line costs one C-level scan (what ``json.loads`` runs on a
+    stripped line) and one inline check that accepts a subset of what
+    :func:`validate_event` accepts. Of the field values JSON can
+    produce, :func:`validate_event` rejects only objects, alone or in
+    lists, and a line whose only ``{`` is the leading one has none. A
+    line failing the inline check gets the full :func:`validate_event`.
+    """
+    events: List[dict] = []
+    append = events.append
+    scan = _scan_once
+    categories = _CATEGORY_SET
+    for index, line in enumerate(lines):
         if not line:
             continue
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if tolerant_tail and lineno == last_lineno:
-                warnings.warn(
-                    f"{path}:{lineno}: skipped torn final trace line "
-                    f"(live stream mid-write?)", UserWarning, stacklevel=2)
-                break
-            raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            payload, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            return events, index
+        if end != len(line):  # extra data after the value
+            return events, index
+        if type(payload) is dict:
+            cycle = payload.get("cycle")
+            cat = payload.get("cat")
+            event = payload.get("event")
+            if (type(cycle) is int and cycle >= 0
+                    and type(cat) is str and cat in categories
+                    and type(event) is str and event
+                    and line.find("{", 1) < 0):
+                append(payload)
+                continue
         try:
             validate_event(payload)
         except ValueError:
-            if tolerant_tail and lineno == last_lineno:
-                warnings.warn(
-                    f"{path}:{lineno}: skipped schema-invalid final trace "
-                    f"line (live stream mid-write?)", UserWarning,
-                    stacklevel=2)
-                break
-            raise
-        events.append(payload)
-    return events
+            return events, index
+        append(payload)
+    return events, len(lines)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -131,6 +132,36 @@ class TestCommands:
         assert "start" in events and "done" in events
         assert events[-1] == "sweep_done"
         assert "2 cells, 0 failed" in capsys.readouterr().out
+
+    def test_run_trace_to_stdout_is_the_trace_file(self, tmp_path):
+        """``--trace -`` keeps stdout pure JSONL: the summary goes to
+        stderr, and stdout is byte-identical to ``--trace PATH``."""
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "repro", "run", "barnes",
+                "--scale", "tiny", "--lifeguard", "taintcheck", "--trace"]
+        path = tmp_path / "t.jsonl"
+        to_file = subprocess.run(argv + [str(path)], capture_output=True,
+                                 env=env, check=True)
+        to_stdout = subprocess.run(argv + ["-"], capture_output=True,
+                                   env=env, check=True)
+        assert to_stdout.stdout == path.read_bytes()
+        assert to_stdout.stderr == to_file.stdout
+        assert b"parallel/barnes/taintcheck" in to_stdout.stderr
+
+    def test_diff_trace_to_stdout_is_pure_jsonl(self, capsys):
+        from repro.trace import validate_event
+        assert main(["diff", "--seeds", "2", "--lifeguards", "addrcheck",
+                     "--jobs", "2", "--trace", "-"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines
+        for line in lines:
+            validate_event(json.loads(line))
+        assert json.loads(lines[-1])["event"] == "sweep_done"
+        assert "2 cells, 0 failed" in captured.err
 
     def test_diff_bad_trace_filter_rejected(self, capsys):
         assert main(["diff", "--seeds", "1", "--trace", "-",

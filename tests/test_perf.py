@@ -1,7 +1,9 @@
 """Tests for the repro.perf benchmark harness and regression gate."""
 
 import copy
+import itertools
 import json
+import types
 
 import pytest
 
@@ -202,6 +204,12 @@ class TestEndToEnd:
 
     def test_cli_gate_against_self(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(perf, "_suite_scenarios", _figure5_only)
+        # Every perf_counter reading is one tick later, so calibration
+        # and scenario walls are fixed: a millisecond-scale wall clock
+        # gated against itself must not flake on host noise. The wall
+        # arithmetic is covered by the fabricated-regression test below.
+        monkeypatch.setattr(perf, "time", types.SimpleNamespace(
+            perf_counter=itertools.count(0.0, 0.25).__next__))
         baseline = tmp_path / "bench.json"
         # First invocation (no --gate) writes the baseline.
         assert perf.main(["--suite", "quick", "--repeats", "1",
