@@ -53,6 +53,23 @@ _CRITICAL_USE = RecordKind.CRITICAL_USE
 _HL_KINDS = (RecordKind.HL_BEGIN, RecordKind.HL_END)
 _THREAD_EXIT = RecordKind.THREAD_EXIT
 
+#: The event tag each record kind delivers when nothing is absorbed:
+#: Inheritance Tracking disabled, and the sequential oracle. A load
+#: with a ``consume_version`` (TSO) delivers ``load_versioned``
+#: instead; kinds not listed (NOP, THREAD_EXIT, CA_MARK) deliver
+#: nothing. Every plain ``(tag, record)`` event comes from this table.
+PASSTHROUGH_TAG = {
+    _LOAD: "load",
+    _STORE: "store",
+    _RMW: "rmw",
+    _MOVRR: "movrr",
+    _ALU: "alu",
+    _LOADI: "loadi",
+    _CRITICAL_USE: "critical",
+    RecordKind.HL_BEGIN: "hl",
+    RecordKind.HL_END: "hl",
+}
+
 #: What an absorbed record delivers: nothing. One shared instance —
 #: callers iterate the events :meth:`InheritanceTracking.process`
 #: returns and never mutate them.
@@ -338,27 +355,14 @@ class InheritanceTracking:
         return out
 
     def _passthrough(self, record: Record) -> List[tuple]:
-        """IT disabled: every record becomes a plain delivered event."""
-        kind = record.kind
-        if kind == RecordKind.LOAD:
-            if record.consume_version is not None:
-                return [("load_versioned", record)]
-            return [("load", record)]
-        if kind == RecordKind.STORE:
-            return [("store", record)]
-        if kind == RecordKind.RMW:
-            return [("rmw", record)]
-        if kind == RecordKind.MOVRR:
-            return [("movrr", record)]
-        if kind == RecordKind.ALU:
-            return [("alu", record)]
-        if kind == RecordKind.LOADI:
-            return [("loadi", record)]
-        if kind == RecordKind.CRITICAL_USE:
-            return [("critical", record)]
-        if kind in (RecordKind.HL_BEGIN, RecordKind.HL_END):
-            return [("hl", record)]
-        return []
+        """IT disabled: every record becomes a plain delivered event
+        (see :data:`PASSTHROUGH_TAG`)."""
+        tag = PASSTHROUGH_TAG.get(record.kind)
+        if tag is None:
+            return []
+        if tag == "load" and record.consume_version is not None:
+            tag = "load_versioned"
+        return [(tag, record)]
 
     # -- flushing --------------------------------------------------------------
 

@@ -40,13 +40,15 @@ the measured byte counts are honest. Truncated or corrupt input raises
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.capture.events import Record, RecordKind
 from repro.common.errors import SimulationError, TraceFormatError
+from repro.isa.instructions import HLEventKind
 
 _SIZE_CODES = {1: 0, 2: 1, 4: 2, 8: 3}
-_SIZE_FROM_CODE = {code: size for size, code in _SIZE_CODES.items()}
+#: Access size by its 2-bit size code.
+_SIZE_FROM_CODE = (1, 2, 4, 8)
 
 #: Supported dependence-arc codecs (see the module docstring).
 ARC_CODECS = ("rid_delta", "last_recv", "absolute")
@@ -65,6 +67,37 @@ _X_CONSUME = 3
 _X_PRODUCE = 4
 _X_CRITICAL = 5
 _X_CA = 6
+
+_STORE = RecordKind.STORE
+_MOVRR = RecordKind.MOVRR
+_ALU = RecordKind.ALU
+_LOADI = RecordKind.LOADI
+_CRITICAL_USE = RecordKind.CRITICAL_USE
+
+# What follows the header byte, by record kind.
+_BARE = 0        # nothing
+_MEM = 1         # zigzag-varint address delta, then one register byte
+_RD = 2          # one byte: rd
+_RS1 = 3         # one byte: rs1
+_RD_RS = 4       # one byte: rd | rs1 << 4
+_RD_RS_RS2 = 5   # that byte, then rs2 (0xFF: none)
+
+#: The operand layout of every encodable record kind.
+_OPERANDS = {
+    RecordKind.LOAD: _MEM, RecordKind.STORE: _MEM, RecordKind.RMW: _MEM,
+    RecordKind.MOVRR: _RD_RS, RecordKind.ALU: _RD_RS_RS2,
+    RecordKind.LOADI: _RD, RecordKind.CRITICAL_USE: _RS1,
+    RecordKind.NOP: _BARE, RecordKind.HL_BEGIN: _BARE,
+    RecordKind.HL_END: _BARE, RecordKind.THREAD_EXIT: _BARE,
+    RecordKind.CA_MARK: _BARE,
+}
+
+#: The record kind of each value of a header's 4 kind bits. 0x0F
+#: stands for a kind of 16 or more (CA_MARK, the only one), whose full
+#: value rides in the extras; None marks an unassigned value.
+_KIND_OF_BITS = tuple(
+    {int(kind): kind for kind in RecordKind}.get(bits)
+    for bits in range(0x0F)) + (RecordKind.CA_MARK,)
 
 
 def _zigzag(value: int) -> int:
@@ -86,6 +119,11 @@ def _write_varint(out: bytearray, value: int) -> None:
         else:
             out.append(byte)
             return
+
+
+def _varint_size(value: int) -> int:
+    """Bytes :func:`_write_varint` spends on ``value``."""
+    return (value.bit_length() + 6) // 7 or 1
 
 
 def _read_byte(data: bytes, offset: int) -> Tuple[int, int]:
@@ -120,19 +158,16 @@ class RecordEncoder:
     """Stateful per-thread encoder (keeps the address-delta context).
 
     ``arc_codec`` selects the dependence-arc encoding (one of
-    :data:`ARC_CODECS`); ``include_reduced_arcs=True`` additionally
-    encodes any :attr:`~repro.capture.events.Record.reduced_arcs` the
-    capture retained, reconstructing the naive pre-reduction arc set —
-    the honest baseline for compression-ratio measurements.
+    :data:`ARC_CODECS`). The naive pre-reduction baseline is priced
+    from the records' arc fields by :func:`naive_arc_cost`, not by a
+    second encode.
     """
 
-    def __init__(self, arc_codec: str = "rid_delta",
-                 include_reduced_arcs: bool = False):
+    def __init__(self, arc_codec: str = "rid_delta"):
         if arc_codec not in ARC_CODECS:
             raise SimulationError(
                 f"unknown arc codec {arc_codec!r}; valid: {ARC_CODECS}")
         self.arc_codec = arc_codec
-        self.include_reduced_arcs = include_reduced_arcs
         self._last_addr = 0
         self._last_recv = {}
         self.records = 0
@@ -156,59 +191,61 @@ class RecordEncoder:
         self._last_recv = dict(last_recv)
 
     def encode(self, record: Record) -> bytes:
-        out = bytearray()
-        kind = int(record.kind)
-        if not 0 < kind < 32:
-            raise SimulationError(f"unencodable record kind {record.kind}")
-        size_code = _SIZE_CODES.get(record.size or 4, 2)
-        header_index = len(out)
-        out.append(0)  # patched below
-
-        header = (kind & 0x0F) | (size_code << 4)
-        if kind >= 16:  # CA_MARK: kind 20 -> stash high bit in extras
-            header = (0x0F) | (size_code << 4)
-
-        if record.is_memory:
-            delta = record.addr - self._last_addr
+        kind = record.kind
+        operands = _OPERANDS.get(kind)
+        if operands is None:
+            raise SimulationError(f"unencodable record kind {kind}")
+        # Kinds of 16 and up (CA_MARK) put 0x0F in the header and their
+        # full kind in the extras.
+        header = ((kind if kind < 16 else 0x0F)
+                  | (_SIZE_CODES.get(record.size or 4, 2) << 4))
+        out = bytearray(1)  # the header byte, patched below
+        if operands == _MEM:
             header |= _FLAG_DELTA
-            _write_varint(out, _zigzag(delta))
-            self._last_addr = record.addr
+            addr = record.addr
+            _write_varint(out, _zigzag(addr - self._last_addr))
+            self._last_addr = addr
             # One register per memory op: rd for loads/RMW, rs1 for stores.
-            reg = record.rs1 if record.kind == RecordKind.STORE else record.rd
+            reg = record.rs1 if kind == _STORE else record.rd
             out.append((reg or 0) & 0x0F)
-        elif record.kind in (RecordKind.MOVRR, RecordKind.ALU):
+        elif operands == _RD:
+            out.append((record.rd or 0) & 0x0F)
+        elif operands == _RS1:
+            out.append((record.rs1 or 0) & 0x0F)
+        elif operands != _BARE:  # _RD_RS and _RD_RS_RS2
             out.append(((record.rd or 0) & 0x0F)
                        | (((record.rs1 or 0) & 0x0F) << 4))
-            if record.kind == RecordKind.ALU:
+            if operands == _RD_RS_RS2:
                 out.append(0xFF if record.rs2 is None
                            else (record.rs2 & 0x0F))
-        elif record.kind == RecordKind.LOADI:
-            out.append((record.rd or 0) & 0x0F)
-        elif record.kind == RecordKind.CRITICAL_USE:
-            out.append((record.rs1 or 0) & 0x0F)
 
-        extras = self._encode_extras(record)
-        if extras:
+        # Most records carry no extras: test the fields here instead of
+        # building an empty block. Each clause is one section of
+        # _encode_extras, so a true test always yields a non-empty block.
+        if (record.arcs or kind >= 16 or record.ca_id is not None
+                or record.hl_kind is not None or record.ranges
+                or record.consume_version is not None
+                or record.produce_versions
+                or record.critical_kind is not None):
+            extras = self._encode_extras(record)
             header |= _FLAG_EXTRAS
             _write_varint(out, len(extras))
-            out.extend(extras)
-        out[header_index] = header
+            out += extras
+        out[0] = header
 
         encoded = bytes(out)
         self.records += 1
         self.bytes += len(encoded)
         return encoded
 
-    def _encode_extras(self, record: Record) -> bytes:
+    def _encode_extras(self, record: Record) -> bytearray:
         extras = bytearray()
         if int(record.kind) >= 16 or record.ca_id is not None:
             extras.append(_X_CA)
             _write_varint(extras, int(record.kind))
             _write_varint(extras, record.ca_id or 0)
             extras.append(1 if record.ca_issuer else 0)
-        arcs = list(record.arcs or ())
-        if self.include_reduced_arcs and record.reduced_arcs:
-            arcs.extend(record.reduced_arcs)
+        arcs = record.arcs
         if arcs:
             extras.append(_X_ARCS)
             section_start = len(extras) - 1
@@ -248,12 +285,35 @@ class RecordEncoder:
             extras.append(_X_CRITICAL)
             _write_varint(extras, len(payload))
             extras.extend(payload)
-        return bytes(extras)
+        return extras
 
     @property
     def average_bytes_per_record(self) -> float:
         """Mean encoded size; 0.0 for an empty stream (no division)."""
         return self.bytes / self.records if self.records else 0.0
+
+
+def naive_arc_cost(records: Iterable[Record]) -> Tuple[int, int]:
+    """``(arcs, bytes)`` of one stream's naive full-arc baseline.
+
+    Every arc capture recorded before transitive reduction (``arcs``
+    plus ``reduced_arcs``), priced as the ``absolute`` codec's arcs
+    section: a tag byte, the arc-count varint, then each arc's source
+    tid and source RID varints. It equals the ``arcs``/``arc_bytes`` an
+    ``absolute`` encoder reports for the records with their reduced
+    arcs restored, without encoding anything.
+    """
+    count = size = 0
+    for record in records:
+        arcs = record.arcs
+        if record.reduced_arcs:
+            arcs = (arcs or []) + record.reduced_arcs
+        if arcs:
+            count += len(arcs)
+            size += 1 + _varint_size(len(arcs))
+            for src_tid, src_rid in arcs:
+                size += _varint_size(src_tid) + _varint_size(src_rid)
+    return count, size
 
 
 class RecordDecoder:
@@ -274,55 +334,72 @@ class RecordDecoder:
         self._last_recv = {}
         self._rid = 0
 
-    def decode(self, data: bytes) -> Tuple[Record, int]:
-        """Decode one record; returns (record, bytes consumed)."""
-        offset = 0
-        header, offset = _read_byte(data, offset)
-        kind_bits = header & 0x0F
-        size = _SIZE_FROM_CODE[(header >> 4) & 0x03]
+    def decode(self, data: bytes, offset: int) -> Tuple[Record, int]:
+        """Decode the record starting at ``offset`` of ``data``; returns
+        ``(record, offset just past it)``.
 
-        self._rid += 1
-        kind = RecordKind(kind_bits) if kind_bits != 0x0F else None
-        record = Record(self.tid, self._rid,
-                        kind if kind is not None else RecordKind.CA_MARK)
-
-        if header & _FLAG_DELTA:
-            raw, offset = _read_varint(data, offset)
-            self._last_addr += _unzigzag(raw)
-            record.addr = self._last_addr
-            record.size = size
-            reg, offset = _read_byte(data, offset)
-            if kind == RecordKind.STORE:
-                record.rs1 = reg & 0x0F
-            else:
-                record.rd = reg & 0x0F
-        elif kind in (RecordKind.MOVRR, RecordKind.ALU):
-            regs, offset = _read_byte(data, offset)
-            record.rd = regs & 0x0F
-            record.rs1 = (regs >> 4) & 0x0F
-            if kind == RecordKind.ALU:
-                rs2, offset = _read_byte(data, offset)
-                record.rs2 = None if rs2 == 0xFF else rs2
-        elif kind == RecordKind.LOADI:
-            reg, offset = _read_byte(data, offset)
-            record.rd = reg & 0x0F
-        elif kind == RecordKind.CRITICAL_USE:
-            reg, offset = _read_byte(data, offset)
-            record.rs1 = reg & 0x0F
-
-        if header & _FLAG_EXTRAS:
-            length, offset = _read_varint(data, offset)
-            if offset + length > len(data):
+        ``data`` is read in place; only an extras block is sliced out,
+        so decoding a whole stream copies at most its length.
+        """
+        start = offset
+        try:
+            header = data[offset]
+            offset += 1
+            kind = _KIND_OF_BITS[header & 0x0F]
+            if kind is None:
                 raise TraceFormatError(
-                    f"truncated extras block: {length} bytes declared, "
-                    f"{len(data) - offset} available")
-            self._decode_extras(record, data[offset:offset + length])
-            offset += length
+                    f"unassigned record kind {header & 0x0F} in header "
+                    f"byte {header:#04x}")
+            self._rid += 1
+            record = Record(self.tid, self._rid, kind)
+
+            if header & _FLAG_DELTA:
+                raw = data[offset]
+                if raw & 0x80:
+                    raw, offset = _read_varint(data, offset)
+                else:
+                    offset += 1
+                self._last_addr += _unzigzag(raw)
+                record.addr = self._last_addr
+                record.size = _SIZE_FROM_CODE[(header >> 4) & 0x03]
+                reg = data[offset] & 0x0F
+                offset += 1
+                if kind is _STORE:
+                    record.rs1 = reg
+                else:
+                    record.rd = reg
+            elif kind is _MOVRR or kind is _ALU:
+                regs = data[offset]
+                offset += 1
+                record.rd = regs & 0x0F
+                record.rs1 = (regs >> 4) & 0x0F
+                if kind is _ALU:
+                    rs2 = data[offset]
+                    offset += 1
+                    record.rs2 = None if rs2 == 0xFF else rs2
+            elif kind is _LOADI:
+                record.rd = data[offset] & 0x0F
+                offset += 1
+            elif kind is _CRITICAL_USE:
+                record.rs1 = data[offset] & 0x0F
+                offset += 1
+
+            if header & _FLAG_EXTRAS:
+                length, offset = _read_varint(data, offset)
+                if offset + length > len(data):
+                    raise TraceFormatError(
+                        f"truncated extras block: {length} bytes declared, "
+                        f"{len(data) - offset} available")
+                self._decode_extras(record, data[offset:offset + length])
+                offset += length
+        except IndexError:
+            raise TraceFormatError(
+                f"truncated record stream: the record at offset {start} "
+                f"runs past the end ({len(data)} bytes)") from None
         return record, offset
 
     def _decode_extras(self, record: Record, extras: bytes) -> None:
         offset = 0
-        from repro.isa.instructions import HLEventKind
         while offset < len(extras):
             tag = extras[offset]
             offset += 1
@@ -386,35 +463,39 @@ class RecordDecoder:
 def encode_stream(records: Iterable[Record],
                   arc_codec: str = "rid_delta") -> bytes:
     """Encode one thread's record stream into a single buffer."""
-    encoder = RecordEncoder(arc_codec=arc_codec)
-    return b"".join(encoder.encode(record) for record in records)
+    encode = RecordEncoder(arc_codec=arc_codec).encode
+    return b"".join([encode(record) for record in records])
 
 
 def decode_stream(data: bytes, tid: int,
                   arc_codec: str = "rid_delta") -> List[Record]:
     """Decode a whole encoded stream back into records.
 
-    Any corruption — a stream cut mid-record, an over-long varint, an
-    extras block announcing more bytes than remain, an invalid record
-    kind — raises :class:`~repro.common.errors.TraceFormatError` with
-    the stream offset, never a bare ``IndexError``.
+    This is the one decode loop: the archive reader uses it too. It
+    walks ``data`` by offset, so decoding costs time linear in the
+    stream. Any corruption — a stream cut mid-record, an over-long
+    varint, an extras block announcing more bytes than remain, an
+    invalid record kind — raises
+    :class:`~repro.common.errors.TraceFormatError` with the record
+    number and stream offset, never a bare ``IndexError`` or
+    ``ValueError``.
     """
-    decoder = RecordDecoder(tid, arc_codec=arc_codec)
-    records = []
+    decode = RecordDecoder(tid, arc_codec=arc_codec).decode
+    records: List[Record] = []
     offset = 0
-    while offset < len(data):
-        try:
-            record, consumed = decoder.decode(data[offset:])
-        except TraceFormatError as exc:
-            raise TraceFormatError(
-                f"record #{len(records) + 1} at stream offset {offset}: "
-                f"{exc}") from None
-        except (IndexError, ValueError, UnicodeDecodeError) as exc:
-            raise TraceFormatError(
-                f"corrupt record #{len(records) + 1} at stream offset "
-                f"{offset}: {exc}") from exc
-        offset += consumed
-        records.append(record)
+    end = len(data)
+    try:
+        while offset < end:
+            record, offset = decode(data, offset)
+            records.append(record)
+    except TraceFormatError as exc:
+        raise TraceFormatError(
+            f"record #{len(records) + 1} at stream offset {offset}: "
+            f"{exc}") from None
+    except (IndexError, ValueError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(
+            f"corrupt record #{len(records) + 1} at stream offset "
+            f"{offset}: {exc}") from exc
     return records
 
 

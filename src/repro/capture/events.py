@@ -16,6 +16,7 @@ encoding bytes.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import List, Optional, Tuple
 
 from repro.isa.instructions import MicroOp, OpKind
@@ -152,14 +153,6 @@ class Record:
         record.commit_time = None
         return record
 
-    @property
-    def is_memory(self) -> bool:
-        return self.kind in (RecordKind.LOAD, RecordKind.STORE, RecordKind.RMW)
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind in (RecordKind.STORE, RecordKind.RMW)
-
     def add_arc(self, src_tid: int, src_rid: int) -> None:
         if self.arcs is None:
             self.arcs = []
@@ -180,6 +173,12 @@ class Record:
         if self.hl_kind is not None:
             extra += f" hl={self.hl_kind.name}"
         return f"Record(t{self.tid} #{self.rid} {self.kind.name}{extra})"
+
+
+#: Sort key of the global coherence order: commit time, ties broken by
+#: thread and RID. The sequential oracle and the archive reader both
+#: linearize with it.
+coherence_order = operator.attrgetter("commit_time", "tid", "rid")
 
 
 def record_size_bytes(record: Record) -> int:

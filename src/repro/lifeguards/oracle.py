@@ -17,36 +17,57 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List
 
-from repro.accel.inheritance import InheritanceTracking
-from repro.capture.events import Record, RecordKind
+from repro.accel.inheritance import PASSTHROUGH_TAG
+from repro.capture.events import Record, coherence_order
 from repro.lifeguards.base import Lifeguard
 
 
 def linearize(trace: Iterable[Record]) -> List[Record]:
     """Sort a trace into its global coherence order."""
     records = [r for r in trace if r.commit_time is not None]
-    records.sort(key=lambda r: (r.commit_time, r.tid, r.rid))
+    records.sort(key=coherence_order)
     return records
 
 
 def replay(trace: Iterable[Record],
            lifeguard_factory: Callable[[], Lifeguard]) -> Lifeguard:
     """Replay a trace sequentially; returns the populated lifeguard."""
+    return replay_linearized(linearize(trace), lifeguard_factory)
+
+
+def replay_linearized(records: Iterable[Record],
+                      lifeguard_factory: Callable[[], Lifeguard]
+                      ) -> Lifeguard:
+    """Replay records already in coherence order through a fresh
+    lifeguard; returns it populated.
+
+    Each record is translated to its event with the disabled-IT table
+    (:data:`~repro.accel.inheritance.PASSTHROUGH_TAG`): no accelerator
+    runs, and ``records`` is only read, so one linearized archive can
+    feed any number of lifeguards.
+    """
     lifeguard = lifeguard_factory()
-    passthrough = InheritanceTracking(enabled=False)
-    for record in linearize(trace):
-        if record.kind == RecordKind.CA_MARK:
-            continue  # CA marks carry no lifeguard semantics of their own
-        for event in passthrough.process(record):
-            if not lifeguard.wants(event):
+    wants = lifeguard.wants
+    handle = lifeguard.handle
+    for record in records:
+        tag = PASSTHROUGH_TAG.get(record.kind)
+        if tag is None:
+            continue  # NOP, THREAD_EXIT and CA marks deliver nothing
+        if tag == "load" and record.consume_version is not None:
+            event = ("load_versioned", record)
+            if not wants(event):
                 continue  # mirror the delivery hardware's event filtering
-            if event[0] == "load_versioned":
-                # The oracle replays in true coherence order, so the
-                # "current" metadata *is* the version the load must see.
-                rec = event[1]
-                snapshot = lifeguard.metadata.snapshot_range(rec.addr, rec.size)
-                event = ("load_versioned", rec, (rec.addr, rec.size, snapshot))
-            lifeguard.handle(event)
+            # The oracle replays in true coherence order, so the
+            # "current" metadata *is* the version the load must see.
+            snapshot = lifeguard.metadata.snapshot_range(record.addr,
+                                                         record.size)
+            event = ("load_versioned", record,
+                     (record.addr, record.size, snapshot))
+        else:
+            event = (tag, record)
+            if not wants(event):
+                continue
+        handle(event)
     return lifeguard
 
 

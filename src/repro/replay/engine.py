@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.common.config import SimulationConfig
 from repro.cpu.os_model import AddressLayout
 from repro.lifeguards import LIFEGUARDS
-from repro.lifeguards.oracle import replay
+from repro.lifeguards.oracle import replay_linearized
 from repro.platform import run_parallel_monitoring
 from repro.replay.format import TraceReader, canonical_json, write_archive
 
@@ -75,9 +75,9 @@ def replay_archive(archive, lifeguard: str) -> ReplayResult:
     """Replay one archive through one lifeguard, no CMP re-simulation.
 
     ``archive`` is a path or an open :class:`TraceReader` (pass the
-    reader when replaying the same file under several lifeguards to
-    amortize decode). The delivered order is the archive's global
-    coherence linearization — exactly what the sequential oracle
+    reader when replaying the same file under several lifeguards: it
+    decodes and linearizes once). The delivered order is the archive's
+    global coherence linearization — exactly what the sequential oracle
     consumes, and proven fingerprint-identical to live parallel
     monitoring by the differential harness.
     """
@@ -86,8 +86,9 @@ def replay_archive(archive, lifeguard: str) -> ReplayResult:
     reader = archive if isinstance(archive, TraceReader) \
         else TraceReader(archive)
     factory = lifeguard_replay_factory(lifeguard)
-    records = reader.all_records()
-    populated = replay(records, lambda: factory(heap_range=_HEAP_RANGE))
+    records = reader.linearized()
+    populated = replay_linearized(
+        records, lambda: factory(heap_range=_HEAP_RANGE))
     return ReplayResult(
         archive=reader.path,
         lifeguard=lifeguard,

@@ -36,17 +36,19 @@ import dataclasses
 import enum
 import hashlib
 import json
+import operator
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.capture.compression import (
-    RecordDecoder,
     RecordEncoder,
     _read_varint,
     _unzigzag,
     _write_varint,
     _zigzag,
+    decode_stream,
+    naive_arc_cost,
 )
-from repro.capture.events import Record
+from repro.capture.events import Record, coherence_order
 from repro.common.errors import TraceFormatError
 
 #: PNG-style magic: high-bit byte (binary-vs-text probes), name, CRLF/LF
@@ -133,7 +135,11 @@ def _encode_commit_times(records: List[Record], base: int = 0) -> bytes:
                 f"completed runs (every record flushed to its log) can "
                 f"be archived")
         rebased = record.commit_time - base
-        _write_varint(out, _zigzag(rebased - previous))
+        raw = _zigzag(rebased - previous)
+        if raw < 0x80:
+            out.append(raw)
+        else:
+            _write_varint(out, raw)
         previous = rebased
     return bytes(out)
 
@@ -141,20 +147,30 @@ def _encode_commit_times(records: List[Record], base: int = 0) -> bytes:
 def _decode_commit_times(blob: bytes, count: int) -> List[int]:
     values = []
     offset = 0
+    end = len(blob)
     previous = 0
     for index in range(count):
-        try:
-            raw, offset = _read_varint(blob, offset)
-        except TraceFormatError as exc:
-            raise TraceFormatError(
-                f"commit-time blob truncated at entry {index}: {exc}"
-            ) from None
+        # Past the end reads as a continuation byte, so _read_varint
+        # reports the truncation.
+        raw = blob[offset] if offset < end else 0x80
+        if raw & 0x80:
+            try:
+                raw, offset = _read_varint(blob, offset)
+            except TraceFormatError as exc:
+                raise TraceFormatError(
+                    f"commit-time blob truncated at entry {index}: {exc}"
+                ) from None
+        else:
+            offset += 1
         previous += _unzigzag(raw)
         values.append(previous)
-    if offset != len(blob):
+    if offset != end:
         raise TraceFormatError(
             f"commit-time blob has {len(blob) - offset} trailing bytes")
     return values
+
+
+_RID = operator.attrgetter("rid")
 
 
 def _group_streams(trace: Iterable[Record],
@@ -164,7 +180,7 @@ def _group_streams(trace: Iterable[Record],
     for record in trace:
         streams.setdefault(record.tid, []).append(record)
     for tid, records in sorted(streams.items()):
-        records.sort(key=lambda record: record.rid)
+        records.sort(key=_RID)
         for expected, record in enumerate(records, start=1):
             if record.rid != expected:
                 raise TraceFormatError(
@@ -194,13 +210,11 @@ def write_archive(path: str, trace: Iterable[Record], *, nthreads: int,
     total_naive_arc_bytes = 0
     for tid, records in sorted(streams.items()):
         encoder = RecordEncoder(arc_codec=ARCHIVE_ARC_CODEC)
-        record_blob = b"".join(encoder.encode(r) for r in records)
+        encode = encoder.encode
+        record_blob = b"".join([encode(record) for record in records])
         commit_blob = _encode_commit_times(records, commit_base)
-        # Price the naive baseline: every pre-reduction arc, absolute.
-        naive = RecordEncoder(arc_codec="absolute",
-                              include_reduced_arcs=True)
-        for record in records:
-            naive.encode(record)
+        # The naive baseline: every pre-reduction arc, absolute.
+        naive_arcs, naive_arc_bytes = naive_arc_cost(records)
         stream_entries.append({
             "tid": tid,
             "records": len(records),
@@ -210,14 +224,14 @@ def write_archive(path: str, trace: Iterable[Record], *, nthreads: int,
             "commit_sha256": _sha256(commit_blob),
             "arcs": encoder.arcs,
             "arc_bytes": encoder.arc_bytes,
-            "naive_arcs": naive.arcs,
-            "naive_arc_bytes": naive.arc_bytes,
+            "naive_arcs": naive_arcs,
+            "naive_arc_bytes": naive_arc_bytes,
         })
         blobs.append(record_blob)
         blobs.append(commit_blob)
         total_records += len(records)
         total_arc_bytes += encoder.arc_bytes
-        total_naive_arc_bytes += naive.arc_bytes
+        total_naive_arc_bytes += naive_arc_bytes
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -274,9 +288,10 @@ class TraceReader:
     Opening eagerly reads the whole file, checks magic, version (both
     copies), manifest shape and every stream's sha256; decoding is lazy
     per thread and cached. ``records(tid)`` returns the thread's stream
-    with commit times restored; :func:`linearized` merges all streams
+    with commit times restored; :meth:`linearized` merges all streams
     into the run's global coherence order — the exact order the
-    sequential oracle (and therefore any lifeguard replay) consumes.
+    sequential oracle (and therefore any lifeguard replay) consumes —
+    once per reader.
     """
 
     def __init__(self, path: str):
@@ -315,6 +330,7 @@ class TraceReader:
         self.manifest = manifest
         self._blobs: Dict[int, Tuple[bytes, bytes]] = {}
         self._decoded: Dict[int, List[Record]] = {}
+        self._linearized: Optional[List[Record]] = None
         for entry in manifest["streams"]:
             record_blob = data[offset:offset + entry["record_bytes"]]
             offset += entry["record_bytes"]
@@ -364,13 +380,11 @@ class TraceReader:
         record_blob, commit_blob = self._blobs[tid]
         entry = next(e for e in self.manifest["streams"]
                      if e["tid"] == tid)
-        decoder = RecordDecoder(tid, arc_codec=self.manifest["arc_codec"])
-        records: List[Record] = []
-        offset = 0
-        while offset < len(record_blob):
-            record, consumed = decoder.decode(record_blob[offset:])
-            offset += consumed
-            records.append(record)
+        try:
+            records = decode_stream(record_blob, tid,
+                                    arc_codec=self.manifest["arc_codec"])
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{self.path}: t{tid} {exc}") from None
         if len(records) != entry["records"]:
             raise TraceFormatError(
                 f"{self.path}: t{tid} decoded {len(records)} records, "
@@ -389,10 +403,17 @@ class TraceReader:
         return combined
 
     def linearized(self) -> List[Record]:
-        """All records merged into the global coherence order."""
-        combined = self.all_records()
-        combined.sort(key=lambda r: (r.commit_time, r.tid, r.rid))
-        return combined
+        """All records merged into the global coherence order.
+
+        Sorted once per reader, on first use; every later call (one per
+        replayed lifeguard) returns the same list of the same records,
+        which callers must not mutate.
+        """
+        if self._linearized is None:
+            combined = self.all_records()
+            combined.sort(key=coherence_order)
+            self._linearized = combined
+        return self._linearized
 
     def bytes_per_instruction(self) -> float:
         """Archived stream bytes per retired instruction (0.0 if the

@@ -8,8 +8,12 @@ advertising's min-RID bookkeeping.
 
 import pytest
 
-from repro.accel.inheritance import MAX_SOURCES, InheritanceTracking
-from repro.capture.events import Record
+from repro.accel.inheritance import (
+    MAX_SOURCES,
+    PASSTHROUGH_TAG,
+    InheritanceTracking,
+)
+from repro.capture.events import Record, RecordKind
 from repro.isa.instructions import (
     HLEventKind,
     alu,
@@ -23,6 +27,8 @@ from repro.isa.instructions import (
     thread_exit,
 )
 from repro.isa.registers import R0, R1, R2, R3, R4
+from repro.lifeguards.base import Lifeguard
+from repro.lifeguards.oracle import replay_linearized
 
 
 class Stream:
@@ -305,3 +311,75 @@ class TestPassthrough:
         it, stream = InheritanceTracking(enabled=False), Stream()
         assert it.process(stream.record(thread_exit())) == []
         assert it.row_count == 0
+
+
+def _old_passthrough(record):
+    """The if-chain the disabled-IT translation used to be, kept here
+    as the reference the one table must reproduce."""
+    kind = record.kind
+    if kind == RecordKind.LOAD:
+        if record.consume_version is not None:
+            return [("load_versioned", record)]
+        return [("load", record)]
+    if kind == RecordKind.STORE:
+        return [("store", record)]
+    if kind == RecordKind.RMW:
+        return [("rmw", record)]
+    if kind == RecordKind.MOVRR:
+        return [("movrr", record)]
+    if kind == RecordKind.ALU:
+        return [("alu", record)]
+    if kind == RecordKind.LOADI:
+        return [("loadi", record)]
+    if kind == RecordKind.CRITICAL_USE:
+        return [("critical", record)]
+    if kind in (RecordKind.HL_BEGIN, RecordKind.HL_END):
+        return [("hl", record)]
+    return []
+
+
+class _Recorder(Lifeguard):
+    """Wants every event and keeps what it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def handle(self, event):
+        self.events.append(event)
+        return (1, [])
+
+
+def _record(kind, versioned):
+    record = Record(0, 1, kind)
+    record.addr, record.size = 0x1000, 4
+    record.rd = record.rs1 = R1
+    record.commit_time = 1
+    if versioned:
+        record.consume_version = (3, 0x1000, 64)
+    return record
+
+
+class TestOneTranslationTable:
+    """PASSTHROUGH_TAG is the only record -> event translation: disabled
+    IT and the sequential oracle both deliver what it says, which is
+    what the old per-kind if-chain delivered."""
+
+    @pytest.mark.parametrize("versioned", [False, True])
+    @pytest.mark.parametrize("kind", list(RecordKind))
+    def test_table_it_and_oracle_agree(self, kind, versioned):
+        record = _record(kind, versioned)
+        expected = _old_passthrough(record)
+        tag = PASSTHROUGH_TAG.get(kind)
+        if tag == "load" and versioned:
+            tag = "load_versioned"
+        from_table = [] if tag is None else [(tag, record)]
+        assert from_table == expected
+        assert InheritanceTracking(enabled=False).process(record) \
+            == expected
+        replayed = replay_linearized([record], _Recorder).events
+        # The oracle completes a versioned load with the metadata
+        # snapshot it must read; the first two fields are the event.
+        assert [event[:2] for event in replayed] == expected
+        if expected and expected[0][0] == "load_versioned":
+            assert replayed[0][2][:2] == (0x1000, 4)

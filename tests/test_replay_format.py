@@ -5,10 +5,24 @@ path (magic, versions, digests, truncation, trailing bytes), and the
 transitive-reduction-vs-naive arc accounting the perf gate relies on.
 """
 
+import copy
+import hashlib
 import json
 
 import pytest
 
+from repro import (
+    MemoryModel,
+    ScalePreset,
+    TaintCheck,
+    build_workload,
+    run_parallel_monitoring,
+)
+from repro.capture.compression import (
+    RecordEncoder,
+    decode_stream,
+    encode_stream,
+)
 from repro.capture.events import Record, RecordKind
 from repro.common.config import SimulationConfig
 from repro.common.errors import TraceFormatError
@@ -19,6 +33,7 @@ from repro.replay import (
     TraceReader,
     capture_archive,
     config_digest,
+    replay_archive,
     write_archive,
 )
 from repro.replay.format import _write_varint
@@ -234,3 +249,214 @@ class TestRejection:
         path, _data = _archive_bytes(tmp_path)
         with pytest.raises(TraceFormatError, match="no stream for tid"):
             TraceReader(path).records(7)
+
+
+def _absolute_arc_cost(records):
+    """The naive baseline priced the long way: encode every record with
+    its RTR-dropped arcs restored, under the ``absolute`` codec."""
+    encoder = RecordEncoder(arc_codec="absolute")
+    for record in records:
+        full = copy.copy(record)
+        full.arcs = list(record.arcs or ()) + list(record.reduced_arcs or ())
+        encoder.encode(full)
+    return encoder.arcs, encoder.arc_bytes
+
+
+def _assert_naive_baseline_is_a_full_absolute_encode(trace, nthreads, path):
+    manifest = write_archive(path, trace, nthreads=nthreads)
+    streams = {tid: [] for tid in range(nthreads)}
+    for record in trace:
+        streams[record.tid].append(record)
+    for entry in manifest["streams"]:
+        records = sorted(streams[entry["tid"]], key=lambda r: r.rid)
+        assert (entry["naive_arcs"], entry["naive_arc_bytes"]) \
+            == _absolute_arc_cost(records), entry["tid"]
+    assert manifest["totals"]["naive_arc_bytes"] == sum(
+        entry["naive_arc_bytes"] for entry in manifest["streams"])
+    return manifest
+
+
+class TestNaiveBaseline:
+    """The manifest prices the naive baseline from the arc fields; it
+    must equal what a full ``absolute`` encode of ``arcs`` plus
+    ``reduced_arcs`` spends."""
+
+    def test_synthetic_trace(self, tmp_path):
+        _assert_naive_baseline_is_a_full_absolute_encode(
+            synthetic_trace(), 2, tmp_path / "t.plog")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_racy_captures(self, tmp_path, seed):
+        result, _manifest = capture_archive(tmp_path / "r.plog", seed)
+        _assert_naive_baseline_is_a_full_absolute_encode(
+            result.trace, 2, tmp_path / "again.plog")
+
+    def test_barnes_capture(self, tmp_path):
+        result = run_parallel_monitoring(
+            build_workload("barnes", 2, scale=ScalePreset.TINY),
+            TaintCheck, SimulationConfig.for_threads(2), keep_trace=True)
+        _assert_naive_baseline_is_a_full_absolute_encode(
+            result.trace, 2, tmp_path / "b.plog")
+
+    def test_tso_capture_with_reduced_arcs(self, tmp_path):
+        config = SimulationConfig.for_threads(
+            2, memory_model=MemoryModel.TSO)
+        result, _manifest = capture_archive(tmp_path / "t.plog", 0,
+                                            config=config)
+        assert any(record.reduced_arcs for record in result.trace)
+        manifest = _assert_naive_baseline_is_a_full_absolute_encode(
+            result.trace, 2, tmp_path / "again.plog")
+        assert (manifest["totals"]["naive_arc_bytes"]
+                > manifest["totals"]["arc_bytes"])
+
+    def test_wide_values_take_multibyte_varints(self, tmp_path):
+        trace = synthetic_trace()
+        trace[3].arcs = [(0, 1), (300, 2 ** 20), (0, 127), (1, 128)]
+        trace[5].reduced_arcs = [(0, 2), (2 ** 14, 2 ** 35)]
+        _assert_naive_baseline_is_a_full_absolute_encode(
+            trace, 2, tmp_path / "t.plog")
+
+
+def _forged_archive(path, record_blob, records):
+    """A one-thread archive around a hand-built record blob, with every
+    length and digest valid, so only decoding can find the fault."""
+    commit_blob = bytes([2]) * records  # commit times 1, 2, 3, ...
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "arc_codec": ARCHIVE_ARC_CODEC,
+        "nthreads": 1,
+        "config_digest": None,
+        "meta": {},
+        "streams": [{
+            "tid": 0,
+            "records": records,
+            "record_bytes": len(record_blob),
+            "record_sha256": hashlib.sha256(record_blob).hexdigest(),
+            "commit_bytes": len(commit_blob),
+            "commit_sha256": hashlib.sha256(commit_blob).hexdigest(),
+        }],
+        "totals": {},
+    }
+    blob = json.dumps(manifest).encode()
+    out = bytearray(MAGIC)
+    out.append(FORMAT_VERSION)
+    _write_varint(out, len(blob))
+    out.extend(blob)
+    out.extend(record_blob)
+    out.extend(commit_blob)
+    path.write_bytes(bytes(out))
+    return str(path)
+
+
+class TestBadRecordsInValidArchives:
+    """A stream whose digest is valid can still hold records that do
+    not decode; the reader must say where, as a TraceFormatError."""
+
+    # Two good records (a LOADI and a NOP), then the bad one at offset 3.
+    PREFIX = bytes([0x26, 0x01, 0x27])
+
+    @pytest.mark.parametrize("kind_bits", [0, 12, 13, 14])
+    def test_unassigned_header_kind(self, tmp_path, kind_bits):
+        path = _forged_archive(tmp_path / "k.plog",
+                               self.PREFIX + bytes([kind_bits]), 3)
+        reader = TraceReader(path)
+        with pytest.raises(TraceFormatError) as info:
+            reader.records(0)
+        message = str(info.value)
+        assert message.startswith(f"{path}: t0 record #3 at stream "
+                                  f"offset 3: ")
+        assert f"unassigned record kind {kind_bits}" in message
+
+    def test_unassigned_kind_fails_the_replay_too(self, tmp_path):
+        path = _forged_archive(tmp_path / "k.plog",
+                               self.PREFIX + bytes([12]), 3)
+        with pytest.raises(TraceFormatError, match="record #3"):
+            replay_archive(path, "taintcheck")
+
+    def test_unassigned_ca_kind_in_extras(self, tmp_path):
+        # A CA header (kind bits 0x0F) whose extras name kind 12.
+        blob = self.PREFIX + bytes([0x4F, 4, 6, 12, 1, 0])
+        path = _forged_archive(tmp_path / "ca.plog", blob, 3)
+        with pytest.raises(TraceFormatError,
+                           match=r"t0 corrupt record #3 at stream offset 3"):
+            TraceReader(path).records(0)
+
+    def test_truncated_extras_block(self, tmp_path):
+        # Extras flag set, 9 bytes declared, 2 present.
+        blob = self.PREFIX + bytes([0x66, 0x01, 9, 1, 0])
+        path = _forged_archive(tmp_path / "x.plog", blob, 3)
+        with pytest.raises(TraceFormatError) as info:
+            TraceReader(path).records(0)
+        message = str(info.value)
+        assert message.startswith(f"{path}: t0 record #3 at stream "
+                                  f"offset 3: ")
+        assert "truncated extras block: 9 bytes declared" in message
+
+    def test_record_cut_mid_operands(self, tmp_path):
+        # A LOAD header whose address delta and register never come.
+        path = _forged_archive(tmp_path / "c.plog",
+                               self.PREFIX + bytes([0xA1]), 3)
+        with pytest.raises(TraceFormatError,
+                           match=r"t0 record #3 at stream offset 3: "
+                                 r"truncated"):
+            TraceReader(path).records(0)
+
+
+class _CountingBytes(bytes):
+    """bytes that count how many bytes their slices copy out."""
+
+    sliced = 0
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.sliced += len(value)
+        return value
+
+
+def _long_stream(count=3000):
+    records = []
+    for rid in range(1, count + 1):
+        kind = (RecordKind.LOAD, RecordKind.STORE, RecordKind.LOADI,
+                RecordKind.CRITICAL_USE)[rid % 4]
+        record = Record(0, rid, kind)
+        if kind in (RecordKind.LOAD, RecordKind.STORE):
+            record.addr = 0x1000_0000 + 4096 * (rid % 7)
+            record.size = 4
+        if kind in (RecordKind.STORE, RecordKind.CRITICAL_USE):
+            record.rs1 = rid % 8
+        else:
+            record.rd = rid % 8
+        if rid % 5 == 0:
+            record.add_arc(1, rid // 5)
+        if kind == RecordKind.CRITICAL_USE:
+            record.critical_kind = "jump"
+        record.commit_time = rid
+        records.append(record)
+    return records
+
+
+class TestLinearDecode:
+    """Decoding walks the stream by offset: the bytes it copies out of
+    the stream (extras blocks only) stay within a constant factor of
+    the stream's length, however long the stream is."""
+
+    def test_decode_stream(self):
+        records = _long_stream()
+        blob = _CountingBytes(encode_stream(records,
+                                            arc_codec=ARCHIVE_ARC_CODEC))
+        decoded = decode_stream(blob, 0, arc_codec=ARCHIVE_ARC_CODEC)
+        assert len(decoded) == len(records)
+        assert blob.sliced <= 2 * len(blob)
+
+    def test_trace_reader_records(self, tmp_path):
+        records = _long_stream()
+        path = tmp_path / "long.plog"
+        write_archive(path, records, nthreads=1)
+        reader = TraceReader(path)
+        record_blob, commit_blob = reader._blobs[0]
+        counted = _CountingBytes(record_blob)
+        reader._blobs[0] = (counted, commit_blob)
+        decoded = reader.records(0)
+        assert [fields(r) for r in decoded] == [fields(r) for r in records]
+        assert counted.sliced <= 2 * len(counted)
