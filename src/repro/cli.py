@@ -18,8 +18,6 @@ Commands:
   ``--verify-live`` re-runs the live side and asserts byte-identity).
 * ``headline`` — the abstract's three claims.
 * ``swaptions`` — the Section 7 swaptions analysis.
-* ``perf`` — the benchmark harness / regression gate (forwards to
-  ``python -m repro.perf``; see its ``--help``).
 * ``serve`` — the long-lived monitoring service: submit runs over REST,
   stream verdicts + trace events live via Server-Sent Events (forwards
   to ``python -m repro.serve``; see its ``--help``).
@@ -34,6 +32,7 @@ dump the wait-for-graph diagnostics as JSON), 4 cycle budget exceeded
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.common.config import CaptureMode, MemoryModel, ScalePreset, \
@@ -104,6 +103,23 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type=`` for durations: a finite number ``> 0``.
+
+    ``0`` would silently disable a deadline, a negative one would fail
+    every cell at once, and ``nan`` would never expire.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=_positive_int, default=2,
                         help="application threads (default 2)")
@@ -127,13 +143,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for independent sweep cells "
                              "(default 1: serial, bit-identical output)")
-    parser.add_argument("--executor",
-                        choices=["auto", "inline", "pool", "socket"],
-                        default="auto",
-                        help="sweep backend (default auto: inline for "
-                             "--jobs 1, process pool otherwise; socket = "
-                             "TCP workers with heartbeat leases; every "
-                             "choice degrades gracefully)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,27 +230,28 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSONL checkpoint for interrupted-sweep resume")
     diff.add_argument("--resume", action="store_true",
                       help="skip cells already in --checkpoint")
-    diff.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                      help="per-cell wall-clock timeout (workers only)")
+    diff.add_argument("--timeout", type=_positive_float, default=None,
+                      metavar="SEC",
+                      help="per-cell wall-clock timeout (runs cells in "
+                           "worker processes)")
     diff.add_argument("--retries", type=_non_negative_int, default=1,
                       help="extra attempts per failing cell (default 1)")
-    diff.add_argument("--heartbeat", type=float, default=None, metavar="SEC",
-                      help="socket-worker heartbeat interval (default 0.5; "
-                           "a lease expires after 4 missed beats)")
     diff.add_argument("--backoff", metavar="BASE[:CAP]", default=None,
-                      help="retry/reassign backoff: base delay and optional "
+                      help="retry backoff: base delay and optional "
                            "cap in seconds (deterministic capped "
                            "exponential; default 0.1:5)")
     diff.add_argument("--shards", metavar="DIR", default=None,
                       help="per-worker JSONL result shards, unioned with "
-                           "the checkpoint on --resume")
+                           "the checkpoint on --resume (runs cells in "
+                           "worker processes)")
     diff.add_argument("--inject-worker", action="append", default=[],
                       metavar="SITE:ACTION[:MOD...]",
-                      help="chaos-inject a worker-level fault (repeatable), "
-                           "e.g. worker:kill:after=2 or "
-                           "worker_heartbeat:drop:t1")
+                      help="chaos-inject a worker-level fault (repeatable, "
+                           "counted over the sweep's dispatched attempts; "
+                           "runs cells in worker processes), e.g. "
+                           "worker:kill:after=2")
     diff.add_argument("--fault-seed", type=int, default=0,
-                      help="seed for the worker fault plans")
+                      help="seed for the worker fault plan")
     diff.add_argument("--trace", metavar="PATH", default=None,
                       help="stream sweep flight-recorder events to PATH "
                            "as JSONL ('-' for stdout); safe to tail -f "
@@ -295,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=[s.value for s in ScalePreset],
                            default="tiny")
     swaptions.add_argument("--seed", type=int, default=1)
-
-    perf = sub.add_parser(
-        "perf", help="benchmark harness / perf gate (python -m repro.perf)",
-        add_help=False)
-    perf.add_argument("perf_args", nargs=argparse.REMAINDER,
-                      help="arguments forwarded to repro.perf")
 
     serve = sub.add_parser(
         "serve", help="monitoring-as-a-service job server: REST run "
@@ -444,6 +448,10 @@ def _cmd_diff(args) -> int:
                 raise ConfigurationError(
                     f"--inject-worker only accepts the worker sites "
                     f"{WORKER_FAULT_SITES}, not {fault.site!r}")
+            if fault.tid is not None or fault.name is not None:
+                raise ConfigurationError(
+                    f"--inject-worker {fault.label()!r}: worker processes "
+                    f"have no ids to scope by; use after=/count= instead")
         if args.trace == "-":
             tracer = TraceWriter(
                 stream=sys.stdout,
@@ -462,7 +470,6 @@ def _cmd_diff(args) -> int:
             nthreads=args.threads, length=args.length, jobs=args.jobs,
             checkpoint_path=args.checkpoint, resume=args.resume,
             timeout=args.timeout, retries=args.retries,
-            executor=args.executor, heartbeat=args.heartbeat,
             backoff=backoff, worker_faults=worker_faults,
             fault_seed=args.fault_seed, shard_dir=args.shards,
             tracer=tracer)
@@ -535,7 +542,7 @@ def _cmd_replay(args) -> int:
     try:
         reader = TraceReader(args.archive)
         payloads = replay_all(args.archive, lifeguards=names,
-                              jobs=args.jobs, executor=args.executor)
+                              jobs=args.jobs)
     except (TraceFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -588,14 +595,10 @@ def main(argv=None) -> int:
 
 def _dispatch(argv) -> int:
     """Parse ``argv`` and run the selected subcommand."""
-    # `perf` forwards everything verbatim to repro.perf's own parser
-    # (argparse REMAINDER rejects unknown leading options, so dispatch
-    # before the main parse).
-    if argv and argv[0] == "perf":
-        from repro.perf import main as perf_main
-        return perf_main(argv[1:])
-    # `serve` likewise owns its argument vocabulary (and its own clean
-    # Ctrl-C shutdown path, which must return 0, not EXIT_ABNORMAL).
+    # `serve` owns its argument vocabulary (argparse REMAINDER rejects
+    # unknown leading options, so dispatch before the main parse) and
+    # its own clean Ctrl-C shutdown path, which must return 0, not
+    # EXIT_ABNORMAL.
     if argv and argv[0] == "serve":
         from repro.serve import main as serve_main
         return serve_main(argv[1:])
@@ -643,21 +646,18 @@ def _dispatch(argv) -> int:
         counts = tuple(args.thread_counts
                        or [t for t in (1, 2, 4, 8) if t <= args.max_threads])
         print(render_figure6(figure6(args.lifeguard, benches, counts, scale,
-                                     args.seed, jobs=args.jobs,
-                                     executor=args.executor)))
+                                     args.seed, jobs=args.jobs)))
         return 0
     if args.command == "figure7":
         counts = tuple(args.thread_counts
                        or [t for t in (1, 2, 4, 8) if t <= args.max_threads])
         print(render_figure7(figure7(args.lifeguard, benches, counts, scale,
-                                     args.seed, jobs=args.jobs,
-                                     executor=args.executor)))
+                                     args.seed, jobs=args.jobs)))
         return 0
     if args.command == "figure8":
         print(render_figure8(figure8(args.lifeguard, benches,
                                      args.max_threads, scale, args.seed,
-                                     jobs=args.jobs,
-                                     executor=args.executor)))
+                                     jobs=args.jobs)))
         return 0
     if args.command == "headline":
         summary = headline_summary(benches, args.max_threads, scale,

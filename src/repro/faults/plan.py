@@ -20,22 +20,19 @@ site                      armed inside
 ``progress``              :meth:`repro.enforce.progress.ProgressTable.publish`
 ``lifeguard``             :meth:`repro.cpu.lifeguard_core.LifeguardCore.step`
 ``stall_flush``           :meth:`repro.cpu.lifeguard_core.LifeguardCore._stall_flush`
-``worker``                :func:`repro.jobs.workers.execute_job` (sweep workers)
-``worker_heartbeat``      the socket worker's heartbeat thread
-``worker_connect``        :func:`repro.jobs.workers.socket_worker_main`
+``worker``                :meth:`repro.jobs.executors.PoolExecutor.submit`
 ========================  ====================================================
 
-The three ``worker*`` sites are the chaos harness for the sweep
-executors (:mod:`repro.jobs`): they are armed inside *worker processes*
-(pool or socket backend), and their ``tid`` scope addresses a socket
-worker id (pool workers have no stable ids — target them with
-``after``/``count`` instead, counted per worker process). Actions:
-``worker:kill`` hard-exits the worker on its n-th job, ``worker:hang``
-sleeps ``param`` (default 3600) seconds inside the job while heartbeats
-keep flowing, ``worker:corrupt_result`` mangles the result value after
-its integrity digest was computed, ``worker_heartbeat:drop`` silently
-skips heartbeats so the lease expires, and ``worker_connect:refuse``
-exits before dialing the coordinator.
+The ``worker`` site is the chaos harness for the sweep executor
+(:mod:`repro.jobs`): the process pool's plan decides at each dispatch
+whether that attempt is faulted, so ``after``/``count`` count attempts
+across the whole sweep, and the worker process carries the action out.
+Pool workers have no stable ids, so a ``tid`` or ``name`` scope never
+matches (``repro diff --inject-worker`` rejects one). Actions:
+``worker:kill`` hard-exits the worker running the attempt,
+``worker:hang`` sleeps ``param`` (default 3600) seconds inside the job
+so only the hard deadline can reap it, and ``worker:corrupt_result``
+mangles the result value after its integrity digest was computed.
 
 Determinism: injection decisions use the plan's *own*
 ``random.Random(seed)``, never the workload RNG, and a disabled plan
@@ -53,11 +50,10 @@ from repro.common.errors import ConfigurationError
 
 #: The hook-site names components may arm.
 FAULT_SITES = ("arc", "ca_mark", "log_append", "progress",
-               "lifeguard", "stall_flush",
-               "worker", "worker_heartbeat", "worker_connect")
+               "lifeguard", "stall_flush", "worker")
 
-#: The subset armed inside sweep worker processes (:mod:`repro.jobs`).
-WORKER_FAULT_SITES = ("worker", "worker_heartbeat", "worker_connect")
+#: The subset carried out by sweep worker processes (:mod:`repro.jobs`).
+WORKER_FAULT_SITES = ("worker",)
 
 #: Actions each site understands (checked at plan construction).
 SITE_ACTIONS = {
@@ -68,8 +64,6 @@ SITE_ACTIONS = {
     "lifeguard": ("stall", "kill"),
     "stall_flush": ("skip",),
     "worker": ("kill", "hang", "corrupt_result"),
-    "worker_heartbeat": ("drop",),
-    "worker_connect": ("refuse",),
 }
 
 

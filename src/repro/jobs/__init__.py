@@ -1,28 +1,20 @@
-"""Parallel sweep executor: deterministic fan-out over worker processes.
+"""Parallel sweep executor: deterministic fan-out over local workers.
 
-See :mod:`repro.jobs.runner` for the execution model (deterministic
-merge order, leases, bounded retries with deterministic backoff,
-graceful backend degradation), :mod:`repro.jobs.executors` for the
-pluggable backends (``inline`` / ``pool`` / ``socket``),
-:mod:`repro.jobs.checkpoint` for the JSONL checkpoint/resume format and
-:mod:`repro.jobs.shards` for the Taurus-style per-worker result shards.
-The sweep surfaces that use it — ``repro.trace.diff`` seed sweeps, the
-``repro.perf`` scenario matrix, the ``repro.eval.experiments`` figure
-loops — all expose it as ``--jobs N`` (default 1: the historical
-serial path, bit-identical output) plus ``--executor``.
+See :mod:`repro.jobs.runner` for the execution model (where cells run,
+deterministic merge order, hard per-attempt deadlines, bounded retries
+with deterministic backoff, the inline fallback),
+:mod:`repro.jobs.executors` for the two backends (``inline`` and
+``pool``), :mod:`repro.jobs.checkpoint` for the JSONL checkpoint/resume
+format and :mod:`repro.jobs.shards` for the Taurus-style per-worker
+result shards. The sweep surfaces that use it — ``repro.trace.diff``
+seed sweeps, ``repro.replay`` fan-outs, the ``repro.eval.experiments``
+figure loops — all expose it as ``--jobs N`` (default 1: the
+historical serial path, bit-identical output).
 """
 
 from repro.jobs.backoff import BackoffPolicy
 from repro.jobs.checkpoint import CheckpointWriter, load_checkpoint
-from repro.jobs.executors import (
-    DEFAULT_HEARTBEAT,
-    EXECUTORS,
-    Executor,
-    ExecutorError,
-    ExecutorEvent,
-    executor_ladder,
-)
-from repro.jobs.leases import Lease, LeaseTable
+from repro.jobs.executors import Executor, ExecutorError, ExecutorEvent
 from repro.jobs.model import (
     EXIT_CRASHED,
     EXIT_ERROR,
@@ -40,8 +32,6 @@ from repro.jobs.shards import ShardWriter, load_shards
 __all__ = [
     "BackoffPolicy",
     "CheckpointWriter",
-    "DEFAULT_HEARTBEAT",
-    "EXECUTORS",
     "EXIT_CRASHED",
     "EXIT_ERROR",
     "EXIT_OK",
@@ -52,11 +42,8 @@ __all__ = [
     "Job",
     "JobResult",
     "JobRunner",
-    "Lease",
-    "LeaseTable",
     "ShardWriter",
     "TERMINAL_STATUSES",
-    "executor_ladder",
     "load_checkpoint",
     "load_shards",
     "normalize_value",

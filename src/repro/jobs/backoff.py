@@ -3,8 +3,8 @@
 Before this module existed, ``run_jobs`` re-dispatched a failing job
 *immediately*: a job that crashed its worker (or a flaky host resource)
 was hammered again with zero delay, and the retry schedule depended on
-nothing at all. The fix is shared by both failure paths — ordinary
-bounded retries and lease-expiry reassignment — and is deliberately
+nothing at all. The fix is shared by every failure path — errors, crashes
+and timeouts alike — and is deliberately
 free of wall-clock randomness: the jittered delay for ``(job_id,
 attempt)`` is a pure function of the policy's seed, so a re-run of the
 same sweep sleeps the same delays in the same places, and two attempts

@@ -1,44 +1,37 @@
-"""Pluggable sweep-executor backends behind one small protocol.
+"""The two places a sweep cell can run, behind one small protocol.
 
 A backend owns *where* jobs physically run; the scheduler
-(:mod:`repro.jobs.scheduler`) owns everything about *when* — leases,
+(:mod:`repro.jobs.scheduler`) owns everything about *when* — deadlines,
 retries, backoff, merge order. The protocol between them is
 event-based: the scheduler submits attempts while
 :meth:`Executor.can_accept` holds, then drains
 :class:`ExecutorEvent` batches from :meth:`Executor.poll`.
 
-Three backends, forming the degradation ladder ``socket → pool →
-inline``:
-
 * :class:`InlineExecutor` — jobs run synchronously in the scheduler's
-  process. The floor of the ladder: it cannot fail to start, enforces
-  no deadlines, and reproduces the historical serial loop bit-for-bit.
+  process. It cannot fail to start, enforces no deadlines, and
+  reproduces the historical serial loop bit-for-bit.
 * :class:`PoolExecutor` — the ``ProcessPoolExecutor`` path. A dead
   worker poisons the whole shared pool, so recovery re-runs every
   in-flight attempt in a single-worker *quarantine* pool to find the
   culprit (which stays quarantined for good), and a hung worker can
   only be reaped by tearing the pool down — innocent in-flight
   siblings come back as ``aborted`` events and are re-queued uncharged.
-* :class:`SocketExecutor` — worker processes dial a local TCP socket,
-  pull jobs, heartbeat while running and stream results
-  (:mod:`repro.jobs.workers`). Failure is *per-worker*: a dead or
-  leased-out worker is killed and respawned under a fresh, never-reused
-  worker id (elastic shrink when the respawn budget runs out), and no
-  sibling ever loses work. When every worker is gone and none can be
-  respawned, the backend raises :class:`ExecutorError` and the
-  scheduler falls down the ladder mid-run.
+  The pool also carries out the ``worker`` chaos faults: its one
+  :class:`~repro.faults.FaultPlan` decides at each dispatch whether that
+  attempt is faulted, so ``after``/``count`` count attempts across the
+  whole sweep, however many worker processes come and go.
+
+Which one runs is derived from the sweep's inputs, never chosen by the
+user (:class:`repro.jobs.runner.JobRunner`); a pool that cannot start
+or breaks beyond repair raises :class:`ExecutorError` and the scheduler
+finishes the sweep inline.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import selectors
 import signal
-import socket as socketlib
 import threading
 import time
-from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -49,22 +42,16 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.faults import Fault
+from repro.faults import Fault, FaultPlan
 from repro.jobs.model import Job, normalize_value, result_digest
-from repro.jobs.workers import arm_pool_worker, pool_shim, socket_worker_main
-
-#: Backend names, in degradation-ladder order (most to least capable).
-EXECUTORS = ("socket", "pool", "inline")
-
-#: Default socket-backend heartbeat interval in seconds.
-DEFAULT_HEARTBEAT = 0.5
+from repro.jobs.workers import arm_pool_worker, pool_shim
 
 
 class ExecutorError(RuntimeError):
-    """A backend cannot start, or has irrecoverably lost every worker.
+    """The pool cannot start, or broke in a way it cannot recover from.
 
     The scheduler reacts by re-queuing every outstanding attempt
-    (uncharged) and falling to the next backend down the ladder.
+    (uncharged) and finishing the sweep inline.
     """
 
 
@@ -73,17 +60,14 @@ class ExecutorEvent:
     """One observation reported by a backend to the scheduler.
 
     ``kind`` is one of ``result`` (an attempt finished with ``status``
-    ok/error/crashed/timeout), ``heartbeat`` (renew the lease),
-    ``dispatched`` (a queued attempt was handed to ``worker_id``),
-    ``worker_lost`` (the worker owning ``attempt_id`` died),
-    ``aborted`` (an innocent attempt was collaterally cancelled —
-    re-queue without charging it), ``worker_spawned``, ``pool_broken``
-    and ``quarantine`` (informational, traced by the scheduler).
+    ok/error/crashed/timeout), ``aborted`` (an innocent attempt was
+    collaterally cancelled — re-queue without charging it),
+    ``pool_broken`` and ``quarantine`` (informational, traced by the
+    scheduler).
     """
 
     kind: str
     attempt_id: Optional[int] = None
-    worker_id: Optional[int] = None
     status: Optional[str] = None
     value: object = None
     digest: Optional[str] = None
@@ -95,14 +79,12 @@ class Executor:
     """The backend protocol (see the module docstring).
 
     Concrete backends override everything; the base class only fixes
-    the capability flags the scheduler keys off: whether workers
-    heartbeat (arms the lease deadline) and whether deadlines are
+    the capability flag the scheduler keys off: whether deadlines are
     enforceable at all (the inline backend runs jobs on the scheduler's
     own thread, so nothing can be reaped).
     """
 
     name = "abstract"
-    supports_heartbeats = False
     enforces_deadlines = True
 
     def start(self) -> None:
@@ -124,13 +106,9 @@ class Executor:
         raise NotImplementedError
 
     def kill_attempt(self, attempt_id: int, reason: str) -> List[ExecutorEvent]:
-        """Forcibly stop an attempt whose lease expired. Returns
-        collateral events (``aborted`` siblings, respawns); the caller
-        settles the killed attempt itself."""
-        raise NotImplementedError
-
-    def outstanding(self) -> List[int]:
-        """Attempt ids submitted but not yet resulted (for fallback)."""
+        """Forcibly stop an attempt past its deadline. Returns
+        collateral events (``aborted`` siblings); the caller settles the
+        killed attempt itself."""
         raise NotImplementedError
 
     def stop(self) -> None:
@@ -138,25 +116,21 @@ class Executor:
         raise NotImplementedError
 
 
-# ---------------------------------------------------------------------------
-# inline
-# ---------------------------------------------------------------------------
-
 class InlineExecutor(Executor):
-    """Serial in-process execution: the ladder's always-available floor.
+    """Serial in-process execution, and the pool's fallback.
 
     Jobs run synchronously inside :meth:`poll`, one at a time, with no
     pickling and no deadline enforcement — bit-identical to the
-    historical ``nworkers=1`` loop. Worker-level chaos faults are
-    deliberately *not* armed here (a ``kill`` would take the
-    coordinator down with it); inline is the backend the chaos ladder
-    degrades *to*, so it must always succeed.
+    historical serial loop. Worker-level chaos faults are never carried
+    out here (a ``kill`` would take the coordinator down with it);
+    inline is what a broken pool falls back *to*, so it must always
+    succeed.
     """
 
     name = "inline"
     enforces_deadlines = False
 
-    def __init__(self, worker_fn: Callable, **_unused):
+    def __init__(self, worker_fn: Callable):
         self.worker_fn = worker_fn
         self._queued: Optional[Tuple[int, Job]] = None
 
@@ -194,18 +168,10 @@ class InlineExecutor(Executor):
         completeness."""
         return []
 
-    def outstanding(self) -> List[int]:
-        """The queued attempt, if any."""
-        return [self._queued[0]] if self._queued is not None else []
-
     def stop(self) -> None:
         """Nothing to tear down."""
         self._queued = None
 
-
-# ---------------------------------------------------------------------------
-# pool
-# ---------------------------------------------------------------------------
 
 def _interruptible_wait(futures, timeout):
     """``concurrent.futures.wait`` with SIGINT *deferred*, not lost.
@@ -248,10 +214,9 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class PoolExecutor(Executor):
-    """The ``ProcessPoolExecutor`` backend (PR 4's path, refactored
-    behind the protocol). Crash recovery and quarantine semantics are
-    unchanged: a job id that broke a shared pool once only ever runs in
-    single-worker quarantine pools from then on."""
+    """The ``ProcessPoolExecutor`` backend. A job id that broke a shared
+    pool once only ever runs in single-worker quarantine pools from then
+    on."""
 
     name = "pool"
 
@@ -259,23 +224,24 @@ class PoolExecutor(Executor):
                  timeout: Optional[float] = None,
                  worker_faults: Tuple[Fault, ...] = (),
                  fault_seed: int = 0,
-                 shard_dir: Optional[str] = None, **_unused):
+                 shard_dir: Optional[str] = None):
         self.worker_fn = worker_fn
         self.nworkers = nworkers
         self.timeout = timeout
-        self.worker_faults = tuple(worker_faults or ())
-        self.fault_seed = fault_seed
         self.shard_dir = shard_dir
+        self._plan = (FaultPlan(faults=tuple(worker_faults), seed=fault_seed)
+                      if worker_faults else None)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._inflight: Dict[object, int] = {}  # future -> attempt_id
-        self._jobs: Dict[int, Job] = {}         # attempt_id -> Job
+        # attempt_id -> (Job, the chaos fault drawn for that attempt)
+        self._jobs: Dict[int, Tuple[Job, Optional[Fault]]] = {}
         self._quarantined = set()               # job ids
         self._buffer: List[ExecutorEvent] = []
 
     def _make_pool(self, max_workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=max_workers, initializer=arm_pool_worker,
-            initargs=(self.worker_faults, self.fault_seed, self.shard_dir))
+            initargs=(self.shard_dir,))
 
     def start(self) -> None:
         """Build the shared pool; unavailable multiprocessing (missing
@@ -292,19 +258,20 @@ class PoolExecutor(Executor):
     def submit(self, attempt_id: int, job: Job) -> None:
         """Submit to the shared pool — or run immediately in a
         quarantine pool when the job has previously broken one."""
-        self._jobs[attempt_id] = job
+        fault = (self._plan.fire("worker", context=job.job_id)
+                 if self._plan is not None else None)
         if job.job_id in self._quarantined:
             self._buffer.append(ExecutorEvent(kind="quarantine",
                                               attempt_id=attempt_id))
-            status, value, digest, error = self._run_isolated(job)
-            self._jobs.pop(attempt_id, None)
+            status, value, digest, error = self._run_isolated(job, fault)
             self._buffer.append(ExecutorEvent(
                 kind="result", attempt_id=attempt_id, status=status,
                 value=value, digest=digest, error=error))
             return
+        self._jobs[attempt_id] = (job, fault)
         try:
             future = self._pool.submit(pool_shim, self.worker_fn,
-                                       job.payload, job.job_id)
+                                       job.payload, job.job_id, fault)
         except BrokenProcessPool:
             # A worker died since the last poll and poisoned the pool
             # before this submit. Recover the in-flight attempts first,
@@ -312,7 +279,7 @@ class PoolExecutor(Executor):
             self._buffer.extend(self._recover_broken())
             try:
                 future = self._pool.submit(pool_shim, self.worker_fn,
-                                           job.payload, job.job_id)
+                                           job.payload, job.job_id, fault)
             except BrokenProcessPool as exc:
                 raise ExecutorError(f"pool broke twice during one "
                                     f"submit: {exc!r}")
@@ -363,10 +330,10 @@ class PoolExecutor(Executor):
         events = [ExecutorEvent(kind="pool_broken",
                                 reason=f"{len(affected)} in flight")]
         for attempt_id in affected:
-            job = self._jobs.pop(attempt_id)
+            job, fault = self._jobs.pop(attempt_id)
             events.append(ExecutorEvent(kind="quarantine",
                                         attempt_id=attempt_id))
-            status, value, digest, error = self._run_isolated(job)
+            status, value, digest, error = self._run_isolated(job, fault)
             if status == "crashed":
                 self._quarantined.add(job.job_id)
             events.append(ExecutorEvent(
@@ -375,12 +342,12 @@ class PoolExecutor(Executor):
         self._pool = self._make_pool(self.nworkers)
         return events
 
-    def _run_isolated(self, job: Job):
+    def _run_isolated(self, job: Job, fault: Optional[Fault]):
         """One attempt in a dedicated single-worker pool."""
         solo = self._make_pool(1)
         try:
             future = solo.submit(pool_shim, self.worker_fn, job.payload,
-                                 job.job_id)
+                                 job.job_id, fault)
             try:
                 out = future.result(timeout=self.timeout)
             except FuturesTimeoutError:
@@ -395,7 +362,7 @@ class PoolExecutor(Executor):
             _terminate_pool(solo)
 
     def kill_attempt(self, attempt_id: int, reason: str) -> List[ExecutorEvent]:
-        """A lease expired: the worker is hung. Futures can't cancel a
+        """An attempt overran its deadline: the worker is hung. Futures can't cancel a
         *running* task, so tear the whole pool down, abort innocent
         in-flight siblings (re-queued uncharged by the scheduler) and
         rebuild."""
@@ -410,379 +377,8 @@ class PoolExecutor(Executor):
         self._pool = self._make_pool(self.nworkers)
         return events
 
-    def outstanding(self) -> List[int]:
-        """In-flight attempt ids (buffered results excluded)."""
-        return list(self._inflight.values())
-
     def stop(self) -> None:
         """Kill the shared pool."""
         if self._pool is not None:
             _terminate_pool(self._pool)
             self._pool = None
-
-
-# ---------------------------------------------------------------------------
-# socket
-# ---------------------------------------------------------------------------
-
-class _Conn:
-    """One accepted coordinator-side connection and its read buffer."""
-
-    __slots__ = ("sock", "rbuf", "worker_id")
-
-    def __init__(self, sock):
-        self.sock = sock
-        self.rbuf = b""
-        self.worker_id = None
-
-
-class _SocketWorker:
-    """Coordinator-side state of one spawned worker process."""
-
-    __slots__ = ("worker_id", "process", "conn", "ready", "attempt_id")
-
-    def __init__(self, worker_id, process):
-        self.worker_id = worker_id
-        self.process = process
-        self.conn: Optional[_Conn] = None
-        self.ready = False
-        self.attempt_id: Optional[int] = None
-
-
-class SocketExecutor(Executor):
-    """Worker processes over a local TCP socket, with heartbeats.
-
-    Workers dial in, pull jobs and stream results; the coordinator
-    never blocks on any single worker. A worker that dies (or is killed
-    for an expired lease) costs exactly its own in-flight job — the
-    scheduler reassigns it — and is respawned under a fresh worker id
-    until the respawn budget (``2 * nworkers`` by default) runs out,
-    after which the fleet gracefully shrinks. Fresh ids matter for
-    chaos determinism: a fault spec targeting ``t1`` dies with worker 1
-    instead of re-arming inside its replacement.
-    """
-
-    name = "socket"
-    supports_heartbeats = True
-
-    def __init__(self, worker_fn: Callable, nworkers: int, *,
-                 heartbeat: float = DEFAULT_HEARTBEAT,
-                 worker_faults: Tuple[Fault, ...] = (),
-                 fault_seed: int = 0,
-                 shard_dir: Optional[str] = None,
-                 connect_timeout: float = 15.0,
-                 max_respawns: Optional[int] = None, **_unused):
-        self.worker_fn = worker_fn
-        self.nworkers = nworkers
-        self.heartbeat = heartbeat
-        self.worker_faults = tuple(worker_faults or ())
-        self.fault_seed = fault_seed
-        self.shard_dir = shard_dir
-        self.connect_timeout = connect_timeout
-        self.max_respawns = (2 * nworkers if max_respawns is None
-                             else max_respawns)
-        self._listener = None
-        self._selector = None
-        self._workers: Dict[int, _SocketWorker] = {}
-        self._attempts: Dict[int, int] = {}  # attempt_id -> worker_id
-        self._queue = deque()                # (attempt_id, Job)
-        self._buffer: List[ExecutorEvent] = []
-        self._next_worker_id = 0
-        self._respawns = 0
-        self._started_at = None
-        self._ever_connected = False
-
-    def start(self) -> None:
-        """Bind the loopback listener and launch the worker fleet."""
-        try:
-            listener = socketlib.socket(socketlib.AF_INET,
-                                        socketlib.SOCK_STREAM)
-            listener.setsockopt(socketlib.SOL_SOCKET,
-                                socketlib.SO_REUSEADDR, 1)
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(self.nworkers + self.max_respawns + 1)
-        except OSError as exc:
-            raise ExecutorError(f"socket backend unavailable: {exc!r}")
-        listener.setblocking(False)
-        self._listener = listener
-        self._port = listener.getsockname()[1]
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ,
-                                ("listener", None))
-        self._started_at = time.monotonic()
-        for _ in range(self.nworkers):
-            self._spawn()
-
-    def _spawn(self) -> None:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        process = multiprocessing.Process(
-            target=socket_worker_main,
-            args=(self._port, self.worker_fn, worker_id, self.heartbeat,
-                  self.worker_faults, self.fault_seed, self.shard_dir),
-            daemon=True)
-        process.start()
-        self._workers[worker_id] = _SocketWorker(worker_id, process)
-        self._buffer.append(ExecutorEvent(kind="worker_spawned",
-                                          worker_id=worker_id))
-
-    def _respawn_or_shrink(self) -> None:
-        """Replace a lost worker under a fresh id, or shrink the fleet
-        once the respawn budget is spent."""
-        if self._respawns < self.max_respawns:
-            self._respawns += 1
-            self._spawn()
-
-    def can_accept(self) -> bool:
-        """Queue at most one job per currently idle, connected worker
-        (keeps submit-time leases honest: dispatch is near-immediate)."""
-        free = sum(1 for worker in self._workers.values()
-                   if worker.conn is not None and worker.ready
-                   and worker.attempt_id is None)
-        return len(self._queue) < free or (
-            not self._queue and not self._ever_connected
-            and bool(self._workers))
-
-    def submit(self, attempt_id: int, job: Job) -> None:
-        """Queue the attempt; it is wired to a ready worker on the next
-        dispatch pass."""
-        self._queue.append((attempt_id, job))
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        for worker_id in sorted(self._workers):
-            if not self._queue:
-                return
-            worker = self._workers[worker_id]
-            if (worker.conn is None or not worker.ready
-                    or worker.attempt_id is not None):
-                continue
-            attempt_id, job = self._queue[0]
-            message = {"type": "job", "attempt": attempt_id,
-                       "job_id": job.job_id, "payload": job.payload}
-            try:
-                worker.conn.sock.sendall(
-                    (json.dumps(message, separators=(",", ":"),
-                                sort_keys=True) + "\n").encode("utf-8"))
-            except OSError:
-                continue  # the read path will reap this worker
-            self._queue.popleft()
-            worker.ready = False
-            worker.attempt_id = attempt_id
-            self._attempts[attempt_id] = worker_id
-            self._buffer.append(ExecutorEvent(kind="dispatched",
-                                              attempt_id=attempt_id,
-                                              worker_id=worker_id))
-
-    def poll(self, timeout: Optional[float]) -> List[ExecutorEvent]:
-        """Pump the selector: accept dial-ins, read worker messages,
-        reap dead processes, dispatch queued work."""
-        self._dispatch()
-        events, self._buffer = self._buffer, []
-        for key, _mask in self._selector.select(0 if events else timeout):
-            tag, state = key.data
-            if tag == "listener":
-                self._accept()
-            else:
-                self._read(state, events)
-        self._reap_dead(events)
-        self._dispatch()
-        events.extend(self._buffer)
-        self._buffer = []
-        self._check_liveness()
-        return events
-
-    def _accept(self) -> None:
-        try:
-            sock, _addr = self._listener.accept()
-        except OSError:
-            return
-        sock.setblocking(False)
-        conn = _Conn(sock)
-        self._selector.register(sock, selectors.EVENT_READ, ("conn", conn))
-
-    def _read(self, conn: _Conn, events: List[ExecutorEvent]) -> None:
-        try:
-            data = conn.sock.recv(1 << 16)
-        except BlockingIOError:
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._drop_conn(conn, events, reason="connection lost")
-            return
-        conn.rbuf += data
-        while b"\n" in conn.rbuf:
-            line, conn.rbuf = conn.rbuf.split(b"\n", 1)
-            try:
-                message = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a frame torn by a dying worker
-            self._handle_message(conn, message, events)
-
-    def _handle_message(self, conn: _Conn, message: dict,
-                        events: List[ExecutorEvent]) -> None:
-        kind = message.get("type")
-        worker_id = message.get("worker")
-        worker = self._workers.get(worker_id)
-        if kind == "hello":
-            if worker is not None:
-                conn.worker_id = worker_id
-                worker.conn = conn
-                self._ever_connected = True
-            return
-        if worker is None or worker.conn is not conn:
-            return  # a zombie connection from an already-replaced worker
-        if kind == "ready":
-            worker.ready = True
-        elif kind == "heartbeat":
-            events.append(ExecutorEvent(kind="heartbeat",
-                                        attempt_id=message.get("attempt"),
-                                        worker_id=worker_id))
-        elif kind == "result":
-            attempt_id = message.get("attempt")
-            worker.attempt_id = None
-            self._attempts.pop(attempt_id, None)
-            events.append(ExecutorEvent(
-                kind="result", attempt_id=attempt_id, worker_id=worker_id,
-                status=message.get("status", "error"),
-                value=message.get("value"), digest=message.get("digest"),
-                error=message.get("error")))
-
-    def _drop_conn(self, conn: _Conn, events: List[ExecutorEvent], *,
-                   reason: str) -> None:
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        conn.sock.close()
-        worker_id = conn.worker_id
-        worker = self._workers.get(worker_id)
-        if worker is None or worker.conn is not conn:
-            return
-        self._remove_worker(worker, events, reason=reason)
-
-    def _remove_worker(self, worker: _SocketWorker,
-                       events: List[ExecutorEvent], *, reason: str) -> None:
-        self._workers.pop(worker.worker_id, None)
-        if worker.attempt_id is not None:
-            self._attempts.pop(worker.attempt_id, None)
-            events.append(ExecutorEvent(kind="worker_lost",
-                                        attempt_id=worker.attempt_id,
-                                        worker_id=worker.worker_id,
-                                        reason=reason))
-        if worker.process.is_alive():
-            worker.process.terminate()
-        self._respawn_or_shrink()
-
-    def _reap_dead(self, events: List[ExecutorEvent]) -> None:
-        """Notice workers that exited without ever connecting (the
-        refuse-connect chaos fault, an import crash) or whose process
-        died faster than their socket EOF arrived."""
-        for worker in list(self._workers.values()):
-            if worker.process.is_alive():
-                continue
-            if worker.conn is not None:
-                self._drop_conn(worker.conn, events, reason="process died")
-            else:
-                self._remove_worker(worker, events,
-                                    reason="died before connecting")
-
-    def _check_liveness(self) -> None:
-        if not self._workers:
-            raise ExecutorError("socket backend lost every worker "
-                                "(respawn budget exhausted)")
-        if (not self._ever_connected and self._started_at is not None
-                and time.monotonic() - self._started_at
-                > self.connect_timeout):
-            raise ExecutorError(
-                f"no socket worker connected within {self.connect_timeout}s")
-
-    def kill_attempt(self, attempt_id: int, reason: str) -> List[ExecutorEvent]:
-        """A lease expired: kill exactly the owning worker (its
-        heartbeats stopped or its job overran) and respawn. No sibling
-        is touched — the socket backend's whole point."""
-        events: List[ExecutorEvent] = []
-        worker_id = self._attempts.pop(attempt_id, None)
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            return events
-        worker.attempt_id = None  # the scheduler settles this attempt
-        if worker.conn is not None:
-            try:
-                self._selector.unregister(worker.conn.sock)
-            except (KeyError, ValueError):
-                pass
-            worker.conn.sock.close()
-        self._workers.pop(worker_id, None)
-        if worker.process.is_alive():
-            worker.process.terminate()
-        self._respawn_or_shrink()
-        return events
-
-    def outstanding(self) -> List[int]:
-        """Leased plus still-queued attempt ids."""
-        return list(self._attempts) + [aid for aid, _job in self._queue]
-
-    def stop(self) -> None:
-        """Close every connection and terminate the fleet."""
-        for worker in list(self._workers.values()):
-            if worker.conn is not None:
-                try:
-                    worker.conn.sock.sendall(b'{"type":"stop"}\n')
-                except OSError:
-                    pass
-                worker.conn.sock.close()
-            if worker.process.is_alive():
-                worker.process.terminate()
-            worker.process.join(timeout=2)
-        self._workers.clear()
-        self._attempts.clear()
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-
-
-# ---------------------------------------------------------------------------
-# factory / ladder
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {
-    "inline": InlineExecutor,
-    "pool": PoolExecutor,
-    "socket": SocketExecutor,
-}
-
-
-def executor_ladder(name: str, nworkers: int) -> Tuple[str, ...]:
-    """The degradation ladder for a requested backend name.
-
-    ``auto`` preserves the historical mapping (``nworkers == 1`` →
-    inline, else pool); explicit names fall through every strictly less
-    capable backend so a sweep survives an environment where its first
-    choice cannot start.
-    """
-    if name == "auto":
-        return ("inline",) if nworkers == 1 else ("pool", "inline")
-    if name == "inline":
-        return ("inline",)
-    if name == "pool":
-        return ("pool", "inline")
-    if name == "socket":
-        return ("socket", "pool", "inline")
-    raise ValueError(f"unknown executor {name!r}; "
-                     f"expected auto, {', '.join(EXECUTORS)}")
-
-
-def create_executor(name: str, worker_fn: Callable, nworkers: int,
-                    **options) -> Executor:
-    """Instantiate one backend by name (not yet started)."""
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown executor {name!r}; "
-                         f"expected one of {EXECUTORS}") from None
-    return cls(worker_fn, nworkers=nworkers, **options)

@@ -1,29 +1,30 @@
 """The parallel sweep executor facade.
 
-Every sweep in the repo — differential seed sweeps, the perf scenario
-matrix, the figure regeneration loops — is a list of *independent*
-cells (seed × scheme × lifeguard, benchmark × thread count, ...).
-:class:`JobRunner` runs such a list across one of three pluggable
-backends (:mod:`repro.jobs.executors`) while keeping the output
+Every sweep in the repo — differential seed sweeps, replay fan-outs,
+the figure regeneration loops — is a list of *independent* cells (seed
+× scheme × lifeguard, benchmark × thread count, ...). :class:`JobRunner`
+runs such a list on one host while keeping the output
 *indistinguishable from the serial run*:
 
+* **Where cells run is derived, not chosen.** A sweep runs on the
+  process pool (:mod:`repro.jobs.executors`) when it needs more than
+  one worker or anything only a separate process can give — a hard
+  per-cell ``timeout``, worker chaos faults, per-worker result shards.
+  Otherwise it runs inline, bit-identical to the historical serial
+  loop. A pool that cannot start, or breaks beyond repair, falls back
+  inline with outstanding attempts re-queued uncharged (traced as
+  ``degrade``).
 * **Deterministic sharding and merge.** The caller enumerates jobs in a
   canonical order and each job gets a stable string id. Workers
   complete in whatever order the OS schedules them — or die, hang and
-  get reassigned — but results are merged back in canonical job order,
-  so the merged output of any backend/worker-count/chaos combination is
-  byte-identical to ``jobs=1`` (the simulator itself is deterministic
-  per seed; no wall-clock values are allowed into job values).
-* **Leases and bounded retries.** Every dispatched attempt carries a
-  lease (:mod:`repro.jobs.leases`): heartbeats renew it, a hard
-  per-attempt ``timeout`` bounds it, and an expired lease kills the
-  owning worker and reassigns the job. All retries — failures and
-  reassignments alike — wait out a deterministic capped exponential
+  get retried — but results are merged back in canonical job order, so
+  the merged output is byte-identical to the serial run (the simulator
+  itself is deterministic per seed; no wall-clock values are allowed
+  into job values).
+* **Deadlines and bounded retries.** A hard per-attempt ``timeout``
+  bounds every pool attempt; an overrun kills the worker and charges
+  the attempt. All retries wait out a deterministic capped exponential
   backoff (:mod:`repro.jobs.backoff`) instead of hammering immediately.
-* **Graceful degradation.** A backend that cannot start (or loses every
-  worker mid-run) falls down the explicit ladder ``socket → pool →
-  inline``, re-queuing outstanding attempts uncharged; the inline floor
-  always completes the sweep.
 * **Checkpoint/resume and shards.** Every terminal result is appended
   to a JSONL checkpoint; an interrupted sweep restarted with
   ``resume=True`` skips exactly the recovered job ids. When a shard
@@ -41,12 +42,12 @@ payload and returning a JSON-serializable value.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.faults import Fault
 from repro.jobs.backoff import BackoffPolicy
 from repro.jobs.checkpoint import CheckpointWriter, load_checkpoint
-from repro.jobs.executors import DEFAULT_HEARTBEAT, executor_ladder
 from repro.jobs.model import (  # noqa: F401 — re-exported for compat
     EXIT_CRASHED,
     EXIT_ERROR,
@@ -63,20 +64,15 @@ from repro.jobs.shards import load_shards
 class JobRunner:
     """Runs a canonical job list; see the module docstring.
 
-    ``executor`` picks the backend: ``"auto"`` (the default) preserves
-    the historical mapping — ``nworkers=1`` runs inline (fully serial,
-    no pool, no pickling, no timeout enforcement, bit-identical to the
-    historical loops) and ``nworkers>1`` uses the process pool.
-    ``"socket"`` turns on the heartbeat-leased TCP-worker backend, and
-    every explicit choice degrades gracefully down the ladder when the
-    environment cannot support it.
+    :attr:`use_pool` is the one placement decision: the process pool
+    when ``nworkers > 1``, a ``timeout`` is set, ``worker_faults`` are
+    given or a ``shard_dir`` is set; inline otherwise (fully serial, no
+    pickling, bit-identical to the historical loops).
     """
 
     def __init__(self, worker: Callable, *, nworkers: int = 1,
                  timeout: Optional[float] = None, retries: int = 1,
                  checkpoint_path: Optional[str] = None, resume: bool = False,
-                 executor: str = "auto",
-                 heartbeat: float = DEFAULT_HEARTBEAT,
                  backoff: Optional[BackoffPolicy] = None,
                  worker_faults: Sequence[Fault] = (), fault_seed: int = 0,
                  shard_dir: Optional[str] = None, tracer=None):
@@ -84,6 +80,10 @@ class JobRunner:
             raise ValueError("nworkers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if timeout is not None and not (math.isfinite(timeout)
+                                        and timeout > 0):
+            raise ValueError(f"timeout must be a finite number of seconds "
+                             f"> 0, got {timeout!r}")
         if resume and not checkpoint_path:
             raise ValueError("resume=True requires a checkpoint_path")
         self.worker = worker
@@ -92,13 +92,13 @@ class JobRunner:
         self.retries = retries
         self.checkpoint_path = checkpoint_path
         self.resume = resume
-        self.ladder: Tuple[str, ...] = executor_ladder(executor, nworkers)
-        self.heartbeat = heartbeat
         self.backoff = backoff
         self.worker_faults = tuple(worker_faults or ())
         self.fault_seed = fault_seed
         self.shard_dir = shard_dir
         self.tracer = tracer
+        self.use_pool = (nworkers > 1 or timeout is not None
+                         or bool(self.worker_faults) or bool(shard_dir))
 
     # -- tracing ---------------------------------------------------------------
 
@@ -153,9 +153,9 @@ class JobRunner:
                        attempts=result.attempts)
 
         scheduler = JobScheduler(
-            self.worker, ladder=self.ladder, nworkers=self.nworkers,
+            self.worker, use_pool=self.use_pool, nworkers=self.nworkers,
             record=record, timeout=self.timeout, retries=self.retries,
-            backoff=self.backoff, heartbeat=self.heartbeat,
+            backoff=self.backoff,
             worker_faults=self.worker_faults, fault_seed=self.fault_seed,
             shard_dir=self.shard_dir, tracer=self.tracer)
         try:
@@ -180,15 +180,14 @@ class JobRunner:
 def run_jobs(jobs: List[Job], worker: Callable, *, nworkers: int = 1,
              timeout: Optional[float] = None, retries: int = 1,
              checkpoint_path: Optional[str] = None, resume: bool = False,
-             executor: str = "auto", heartbeat: float = DEFAULT_HEARTBEAT,
              backoff: Optional[BackoffPolicy] = None,
              worker_faults: Sequence[Fault] = (), fault_seed: int = 0,
              shard_dir: Optional[str] = None, tracer=None) -> List[JobResult]:
     """Convenience wrapper: build a :class:`JobRunner` and run it."""
     runner = JobRunner(worker, nworkers=nworkers, timeout=timeout,
                        retries=retries, checkpoint_path=checkpoint_path,
-                       resume=resume, executor=executor, heartbeat=heartbeat,
-                       backoff=backoff, worker_faults=worker_faults,
+                       resume=resume, backoff=backoff,
+                       worker_faults=worker_faults,
                        fault_seed=fault_seed, shard_dir=shard_dir,
                        tracer=tracer)
     return runner.run(jobs)

@@ -3,9 +3,9 @@
 Taurus shows that parallel recovery gets cheap when every worker keeps
 its *own* append-only log plus lightweight sequencing metadata, instead
 of funneling everything through one coordinator-side file. Here each
-pool/socket worker appends every successful result to a private shard
-(``worker-<id>.jsonl`` / ``pool-<pid>.jsonl``) in the shard directory
-*before* the result travels back to the coordinator. The coordinator's
+pool worker appends every successful result to a private shard
+(``pool-<pid>.jsonl``) in the shard directory *before* the result
+travels back to the coordinator. The coordinator's
 checkpoint stays the primary resume source; the shards are the recovery
 log for the case the checkpoint cannot cover — the coordinator itself
 dying (or losing checkpoint lines) while workers had already finished

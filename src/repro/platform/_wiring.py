@@ -39,7 +39,7 @@ def build_thread_programs(workload, machine: Machine) -> List:
 
 
 def collect_perf_stats(machine: Machine, lifeguard=None) -> Dict[str, int]:
-    """Hot-path counters for the :mod:`repro.perf` benchmark harness.
+    """Hot-path counters, kept as ``RunResult.stats["perf"]``.
 
     Deterministic, machine-independent measures of how much work a run
     did: engine events popped, and (for monitored runs) shadow-memory

@@ -54,6 +54,16 @@ class TestIntegerOptions:
         ["diff", "--retries", "-1"],
         ["run", "swaptions", "--trace-ring", "-1"],
         ["run", "swaptions", "--threads", "two"],
+        ["diff", "--timeout", "0"],
+        ["diff", "--timeout", "-1"],
+        ["diff", "--timeout", "nan"],
+        ["diff", "--timeout", "inf"],
+        ["diff", "--timeout", "soon"],
+        # removed options and subcommands
+        ["diff", "--executor", "pool"],
+        ["diff", "--heartbeat", "0.5"],
+        ["replay", "run.plog", "--executor", "inline"],
+        ["perf", "--gate"],
     ])
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -193,6 +203,46 @@ class TestCommands:
     def test_swaptions_analysis(self, capsys):
         assert main(["swaptions", "--threads", "2"]) == 0
         assert "alloc_free_pairs" in capsys.readouterr().out
+
+
+class TestDiffWorkerOptions:
+    """``--timeout``, ``--shards`` and ``--inject-worker`` run the cells
+    in worker processes, so they take effect at ``--jobs 1`` too."""
+
+    def test_timeout_applies_at_one_job(self, capsys):
+        assert main(["diff", "--seeds", "1", "--timeout", "0.001",
+                     "--retries", "0"]) == 1
+        assert "timeout" in capsys.readouterr().err
+
+    def test_shards_written_at_one_job(self, tmp_path):
+        from repro.jobs import load_shards
+        from repro.trace.diff import sweep_jobs
+        shards = tmp_path / "shards"
+        assert main(["diff", "--seeds", "1", "--shards", str(shards)]) == 0
+        records, skipped = load_shards(str(shards))
+        assert sorted(records) == sorted(job.job_id
+                                         for job in sweep_jobs(range(1)))
+        assert skipped == 0
+
+    def test_killed_worker_at_one_job_survives(self, tmp_path):
+        serial, chaos = tmp_path / "serial.json", tmp_path / "chaos.json"
+        trace = tmp_path / "jobs.jsonl"
+        assert main(["diff", "--seeds", "1", "--output", str(serial)]) == 0
+        assert main(["diff", "--seeds", "1", "--inject-worker",
+                     "worker:kill", "--retries", "2",
+                     "--output", str(chaos), "--trace", str(trace)]) == 0
+        assert chaos.read_bytes() == serial.read_bytes()
+        retried = [event["status"] for event in map(
+            json.loads, trace.read_text().splitlines())
+            if event["event"] == "retry"]
+        assert retried == ["crashed"]  # the kill fired, once
+
+    @pytest.mark.parametrize("spec", ["worker:kill:t1", "worker:hang:t0",
+                                      "worker:corrupt_result:name=w1"])
+    def test_scoped_worker_fault_rejected(self, spec, capsys):
+        assert main(["diff", "--seeds", "1", "--jobs", "2",
+                     "--inject-worker", spec]) == 2
+        assert "no ids to scope by" in capsys.readouterr().err
 
 
 class TestArchiveReplay:

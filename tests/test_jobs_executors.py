@@ -1,10 +1,11 @@
-"""Unit tests for the pluggable sweep-executor architecture.
+"""Unit tests for the sweep executor's building blocks.
 
 Covers the pieces under :mod:`repro.jobs` that the behavioral tests in
 ``test_jobs.py`` / ``test_jobs_chaos.py`` exercise only end-to-end: the
-deterministic backoff policy, the lease table's two-deadline liveness
-model, the per-worker result shards, the buffered-but-synced checkpoint
-writer, the ladder resolution, and backend parity/degradation.
+deterministic backoff policy, the hard per-attempt deadlines, the
+per-worker result shards, the buffered-but-synced checkpoint writer,
+where cells run (pool or inline), and backend parity and the fallback
+to inline.
 """
 
 import json
@@ -16,19 +17,19 @@ import time
 
 import pytest
 
+from repro.faults import parse_fault_spec
 from repro.jobs import (
     BackoffPolicy,
     CheckpointWriter,
-    DEFAULT_HEARTBEAT,
     Job,
-    LeaseTable,
+    JobRunner,
     ShardWriter,
-    executor_ladder,
     load_checkpoint,
     load_shards,
     result_digest,
     run_jobs,
 )
+from repro.jobs.scheduler import POLL_CAP, JobScheduler
 from repro.trace.writer import TraceWriter
 from tests.test_jobs import _jobs, misbehaving_worker, square_worker
 
@@ -68,42 +69,39 @@ class TestBackoffPolicy:
             BackoffPolicy(factor=0.5)
 
 
-# -- leases -------------------------------------------------------------------
+# -- deadlines ----------------------------------------------------------------
 
-class TestLeaseTable:
-    def test_heartbeats_renew_soft_deadline_only(self):
-        table = LeaseTable()
-        lease = table.grant(1, "j0", now=100.0, ttl=2.0, timeout=10.0)
-        assert lease.expiry(101.9) is None
-        table.renew(1, 101.9)
-        assert lease.deadline == pytest.approx(103.9)
-        assert lease.hard_deadline == pytest.approx(110.0)  # NOT renewed
-        assert lease.heartbeats == 1
+class TestDeadlines:
+    """Each in-flight pool attempt carries one hard deadline."""
 
-    def test_expiry_reasons(self):
-        table = LeaseTable()
-        table.grant(1, "j0", now=0.0, ttl=2.0, timeout=10.0)
-        assert table.expired(1.0) == []
-        assert [r for _l, r in table.expired(3.0)] == ["lease"]
-        # a hung-but-beating worker: renewals keep the soft deadline
-        # fresh, so only the hard deadline can (and does) fire
-        table.renew(1, 9.5)
-        assert [r for _l, r in table.expired(10.0)] == ["timeout"]
+    def _scheduler(self, **kwargs):
+        return JobScheduler(square_worker, use_pool=False, nworkers=1,
+                            record=lambda result: None, **kwargs)
 
-    def test_release_and_next_deadline(self):
-        table = LeaseTable()
-        table.grant(1, "a", now=0.0, ttl=5.0)
-        table.grant(2, "b", now=0.0, timeout=3.0)
-        assert table.next_deadline() == pytest.approx(3.0)
-        assert table.release(2).job_id == "b"
-        assert table.next_deadline() == pytest.approx(5.0)
-        assert table.release(99) is None
-        assert 1 in table and len(table) == 1
+    def test_wait_never_sleeps_past_the_next_deadline(self):
+        scheduler = self._scheduler(timeout=5.0)
+        assert scheduler._wait_time(100.0) == POLL_CAP  # nothing in flight
+        scheduler._deadlines.update({1: 103.0, 2: 100.25})
+        assert scheduler._wait_time(100.0) == pytest.approx(0.25)
+        assert scheduler._wait_time(101.0) == 0.0  # overdue: poll, no sleep
+        del scheduler._deadlines[2]
+        assert scheduler._wait_time(100.0) == POLL_CAP  # 3 s away: capped
 
-    def test_no_deadlines_never_expires(self):
-        table = LeaseTable()
-        table.grant(1, "a", now=0.0)  # inline-style: no ttl, no timeout
-        assert table.expired(1e9) == []
+    def test_inline_fallback_sets_no_deadlines(self, monkeypatch):
+        """The inline loop cannot kill a cell, so after the pool fails
+        to start a slow cell completes instead of being charged a
+        timeout it was never reaped for."""
+        from repro.jobs import executors as ex
+
+        def refuse_start(self):
+            raise ex.ExecutorError("unavailable in this test")
+
+        monkeypatch.setattr(ex.PoolExecutor, "start", refuse_start)
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(_jobs(2, j0={"sleep": 0.2}), misbehaving_worker,
+                           timeout=0.05, retries=0, tracer=tracer)
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert not [e for e in tracer.events if e["event"] == "timeout"]
 
 
 # -- shards -------------------------------------------------------------------
@@ -152,15 +150,11 @@ class TestShards:
         writer.close()
         open(cp, "w").close()  # empty checkpoint: coordinator died early
 
-        ran = []
-
-        def counting_worker(payload):
-            ran.append(payload["n"])
-            return square_worker(payload)
-
-        results = run_jobs(_jobs(3), counting_worker, checkpoint_path=cp,
-                           resume=True, shard_dir=shard_dir)
-        assert ran == [0, 2]  # j1 recovered from the shard
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(_jobs(3), square_worker, checkpoint_path=cp,
+                           resume=True, shard_dir=shard_dir, tracer=tracer)
+        started = [e["job"] for e in tracer.events if e["event"] == "start"]
+        assert started == ["j0", "j2"]  # j1 recovered from the shard
         assert [r.value["square"] for r in results] == [0, 1, 4]
         assert results[1].resumed
 
@@ -226,46 +220,69 @@ class TestCheckpointWriter:
         assert recovered  # the synced lines parse and key resume
 
 
-# -- ladder / backends --------------------------------------------------------
+# -- placement / backends ----------------------------------------------------
 
-class TestExecutorLadder:
-    def test_auto_preserves_historical_mapping(self):
-        assert executor_ladder("auto", 1) == ("inline",)
-        assert executor_ladder("auto", 4) == ("pool", "inline")
+class TestPlacement:
+    """Where cells run is derived from the sweep's inputs."""
 
-    def test_explicit_ladders(self):
-        assert executor_ladder("inline", 4) == ("inline",)
-        assert executor_ladder("pool", 4) == ("pool", "inline")
-        assert executor_ladder("socket", 4) == ("socket", "pool", "inline")
+    @pytest.mark.parametrize("kwargs,use_pool", [
+        (dict(), False),
+        (dict(retries=3, checkpoint_path="cp.jsonl"), False),
+        (dict(nworkers=2), True),
+        (dict(timeout=5.0), True),
+        (dict(worker_faults=(parse_fault_spec("worker:kill"),)), True),
+        (dict(shard_dir="shards"), True),
+    ], ids=["serial", "checkpointed", "nworkers", "timeout", "faults",
+            "shards"])
+    def test_pool_only_when_the_inputs_need_one(self, kwargs, use_pool):
+        assert JobRunner(square_worker, **kwargs).use_pool is use_pool
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            executor_ladder("carrier-pigeon", 2)
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_jobs(_jobs(1), square_worker, executor="carrier-pigeon")
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"),
+                                         float("inf")])
+    def test_bad_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            JobRunner(square_worker, timeout=timeout)
 
 
 class TestBackendParity:
-    """Every backend produces the byte-identical canonical merge."""
+    """Both backends produce the byte-identical canonical merge."""
 
     @pytest.mark.parametrize("kwargs", [
-        dict(executor="inline"),
-        dict(executor="pool", nworkers=2),
-        dict(executor="socket", nworkers=2, heartbeat=0.1),
-    ], ids=["inline", "pool", "socket"])
+        dict(),
+        dict(nworkers=2),
+    ], ids=["inline", "pool"])
     def test_merge_identical_to_serial(self, kwargs):
         jobs = _jobs(6)
         serial = [r.to_json() for r in run_jobs(jobs, square_worker)]
         assert [r.to_json()
                 for r in run_jobs(jobs, square_worker, **kwargs)] == serial
 
-    def test_socket_failure_paths_match_pool_semantics(self):
-        """Crash and error statuses, attempt accounting and sibling
-        isolation hold on the socket backend too."""
+    def test_unstartable_pool_falls_back_inline(self, monkeypatch):
+        """With the pool unable to start, the sweep completes inline —
+        and the fallback is traced."""
+        from repro.jobs import executors as ex
+
+        def refuse_start(self):
+            raise ex.ExecutorError("unavailable in this test")
+
+        monkeypatch.setattr(ex.PoolExecutor, "start", refuse_start)
+        tracer = TraceWriter(categories=("jobs",), keep=True)
+        results = run_jobs(_jobs(3), square_worker, nworkers=2,
+                           tracer=tracer)
+        assert all(r.ok for r in results)
+        rungs = [(e["from_executor"], e["to_executor"])
+                 for e in tracer.events if e["event"] == "degrade"]
+        assert rungs == [("pool", "inline")]
+
+    def test_one_worker_pool_isolates_failures(self, tmp_path):
+        """A shard directory puts a one-worker sweep on the pool, so a
+        cell that hard-exits is charged as a crash instead of taking the
+        coordinator down, with the same attempt accounting as at two
+        workers."""
         jobs = _jobs(4, j1={"raise": "boom"}, j2={"exit": 7})
-        results = run_jobs(jobs, misbehaving_worker, nworkers=2,
-                           executor="socket", heartbeat=0.1, retries=1,
-                           backoff=BackoffPolicy.none())
+        results = run_jobs(jobs, misbehaving_worker, nworkers=1, retries=1,
+                           backoff=BackoffPolicy.none(),
+                           shard_dir=str(tmp_path))
         by_id = {r.job_id: r for r in results}
         assert by_id["j1"].status == "error"
         assert by_id["j1"].attempts == 2
@@ -275,31 +292,14 @@ class TestBackendParity:
         for sibling in ("j0", "j3"):
             assert by_id[sibling].status == "ok"
 
-    def test_socket_hard_timeout_reaps_hung_worker(self):
+    def test_one_worker_hard_timeout_reaps_hung_worker(self):
+        """A timeout alone puts a one-worker sweep on the pool, whose
+        hard deadline reaps the hung cell; the rest still complete."""
         jobs = _jobs(3, j0={"sleep": 60})
-        results = run_jobs(jobs, misbehaving_worker, nworkers=2,
-                           executor="socket", heartbeat=0.1, timeout=1.0,
-                           retries=0)
+        results = run_jobs(jobs, misbehaving_worker, nworkers=1,
+                           timeout=1.0, retries=0)
         assert results[0].status == "timeout"
         assert results[1].status == "ok" and results[2].status == "ok"
-
-    def test_degradation_reaches_inline_floor(self, monkeypatch):
-        """With both process backends unable to start, the sweep
-        completes inline — and the ladder is traced."""
-        from repro.jobs import executors as ex
-
-        def refuse_start(self):
-            raise ex.ExecutorError("unavailable in this test")
-
-        monkeypatch.setattr(ex.SocketExecutor, "start", refuse_start)
-        monkeypatch.setattr(ex.PoolExecutor, "start", refuse_start)
-        tracer = TraceWriter(categories=("jobs",), keep=True)
-        results = run_jobs(_jobs(3), square_worker, nworkers=2,
-                           executor="socket", tracer=tracer)
-        assert all(r.ok for r in results)
-        rungs = [(e["from_executor"], e["to_executor"])
-                 for e in tracer.events if e["event"] == "degrade"]
-        assert rungs == [("socket", "pool"), ("pool", "inline")]
 
     def test_retry_backoff_is_traced_with_delay(self):
         tracer = TraceWriter(categories=("jobs",), keep=True)
@@ -308,13 +308,11 @@ class TestBackendParity:
         retries = [e for e in tracer.events if e["event"] == "retry"]
         assert retries and retries[0]["delay"] > 0
 
-    def test_heartbeat_default_exported(self):
-        assert DEFAULT_HEARTBEAT == 0.5
-
-    def test_socket_jobs_log_to_shards(self, tmp_path):
+    @pytest.mark.parametrize("nworkers", [1, 2])
+    def test_pool_jobs_log_to_shards(self, tmp_path, nworkers):
         shard_dir = str(tmp_path)
-        run_jobs(_jobs(4), square_worker, nworkers=2, executor="socket",
-                 heartbeat=0.1, shard_dir=shard_dir)
+        run_jobs(_jobs(4), square_worker, nworkers=nworkers,
+                 shard_dir=shard_dir)
         records, skipped = load_shards(shard_dir)
         assert sorted(records) == ["j0", "j1", "j2", "j3"]
         assert skipped == 0

@@ -45,6 +45,10 @@ class TestNormalizeRunConfig:
         ({"workload": "lu", "seed": True}, "must be an integer"),
         ({"workload": "lu", "threads": 0}, "must be >= 1"),
         ({"workload": "lu", "timeout": -1}, "timeout"),
+        ({"workload": "lu", "timeout": 0}, "timeout"),
+        ({"workload": "lu", "timeout": float("nan")}, "timeout"),
+        ({"workload": "lu", "timeout": float("inf")}, "timeout"),
+        ({"workload": "lu", "executor": "pool"}, "unknown run config fields"),
         ({"workload": "lu", "trace_filter": "bogus"}, "bogus"),
         ({"workload": "lu", "surprise": 1}, "unknown run config fields"),
     ])
@@ -60,7 +64,7 @@ class TestNormalizeRunConfig:
     def test_digest_covers_sim_fields_only(self):
         base = normalize_run_config({"workload": "lu", "seed": 3})
         assert run_digest(base) == run_digest(dict(base, timeout=5,
-                                                   executor="pool"))
+                                                   retries=2))
         assert run_digest(base) != run_digest(dict(base, seed=4))
 
 
@@ -142,8 +146,8 @@ class TestRunRegistry:
 
     def test_pool_executor_timeout_maps_to_budget_exit_code(
             self, tmp_path):
-        """A submission with a wall-clock timeout runs on the pool
-        backend (inline cannot enforce one) and a blown budget surfaces
+        """A submission with a wall-clock timeout runs on a pool worker
+        (inline cannot enforce one) and a blown budget surfaces
         as the jobs layer's timeout status / exit code 4."""
         registry = RunRegistry(str(tmp_path), runners=1)
         try:
